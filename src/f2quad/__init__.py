@@ -12,10 +12,10 @@ from .gf2 import (MAX_ENUM_N, MAX_N, MatF2, SubspaceF2, dot, parity,
 from .functions import (FunctionOracle, QuadraticAverage, QuadraticPhase,
                         TruthTable, coherent_quadratic_average,
                         correlation_exact, derivative, estimate_correlation,
-                        eval_quadratic_average, eval_quadratic_phase,
-                        hoeffding_samples, make_noisy_codeword,
-                        make_noisy_codeword_exact, random_boolean_table,
-                        random_quadratic_average, random_quadratic_phase)
+                        eval_quadratic_phase, hoeffding_samples,
+                        make_noisy_codeword, make_noisy_codeword_exact,
+                        random_boolean_table, random_quadratic_average,
+                        random_quadratic_phase)
 from .fourier import (FourierSpectrum, estimate_u3, exact_u2, exact_u3,
                       exact_u_norm, fwht, goldreich_levin,
                       goldreich_levin_subspace, spectrum_to_table, wht)

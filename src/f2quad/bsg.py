@@ -19,12 +19,12 @@ combinatorics promises, without ever materializing it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import threading
 
 import numpy as np
 
 from .gf2 import parity_many
-from .functions import FunctionOracle, hoeffding_samples, rand_points
+from .functions import (FunctionOracle, hoeffding_samples, query_product,
+                        rand_points)
 from .fourier import goldreich_levin
 
 
@@ -55,9 +55,7 @@ class PhiSampler:
     phi(x) is drawn on first query: run the linear decomposition of the
     derivative f_x at (gamma_gl, delta_gl), pick alpha_i with
     probability c_i^2, otherwise answer a fresh uniform point.  Repeat
-    queries return the memoized value and cost no new oracle queries
-    (first write wins under concurrent insertion, so phi stays a
-    function).
+    queries return the memoized value and cost no new oracle queries.
     """
 
     def __init__(self, f: FunctionOracle, gamma_gl: float, delta_gl: float,
@@ -73,7 +71,6 @@ class PhiSampler:
         self.memo: dict[int, PhiRecord] = {}
         self.gl_calls = 0
         self.diag = diag
-        self._lock = threading.Lock()
 
     def record(self, x: int) -> PhiRecord:
         x = int(x)
@@ -95,8 +92,8 @@ class PhiSampler:
                 break
         if rec is None:
             rec = PhiRecord(int(self.rng.integers(0, 1 << self.n)), 0.0, False)
-        with self._lock:
-            return self.memo.setdefault(x, rec)
+        self.memo[x] = rec
+        return rec
 
     def sample(self, x: int) -> int:
         return self.record(x).alpha
@@ -115,7 +112,7 @@ def estimate_derivative_coefficient(f: FunctionOracle, x: int, alpha: int,
     """Empirical f_hat_x(alpha) = E_y f(y) f(x+y) (-1)^(<alpha,y>) from
     t samples (2t queries to f)."""
     ys = rand_points(rng, f.n, t)
-    vals = f.query_many(ys) * f.query_many(ys ^ np.uint64(x))
+    vals = query_product(f.query_many, ys, ys ^ np.uint64(x))
     par = parity_many(ys & np.uint64(alpha)).astype(np.float64)
     return float(vals.mean() - 2.0 * (vals @ par) / t)
 

@@ -128,38 +128,20 @@ def _profile_overrides(args) -> dict:
     return out
 
 
+def _epsilon(args) -> float:
+    if args.epsilon is None:
+        raise SystemExit2("--epsilon is required", EXIT_INPUT)
+    return args.epsilon
+
+
 def cmd_find_quad(args) -> int:
     tt = _load_table(args)
+    rng = derive_rng(args.seed, "find-quad", 0)
     over = _profile_overrides(args)
-    results = []
-    threads = max(1, args.threads)
-    if threads == 1:
-        rng = derive_rng(args.seed, "find-quad", 0)
-        res = find_quadratic(tt.as_oracle(), args.epsilon, args.delta, rng,
-                             profile=args.profile, **over)
-        if res is not None:
-            results.append((0, res))
-    else:
-        # deterministic parallel attempts: per-index streams, lowest
-        # successful attempt index wins
-        from concurrent.futures import ThreadPoolExecutor
-
-        def one(idx):
-            rng = derive_rng(args.seed, "find-quad", idx)
-            orc = functions.TableOracle(tt.values, tt.n)
-            r = find_quadratic(orc, args.epsilon, args.delta, rng,
-                               profile=args.profile,
-                               m_attempts=max(1, 50 // threads), **{
-                                   k: v for k, v in over.items()
-                                   if k != "m_attempts"})
-            return (idx, r)
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for idx, r in ex.map(one, range(threads)):
-                if r is not None:
-                    results.append((idx, r))
-    if not results:
+    res = find_quadratic(tt.as_oracle(), _epsilon(args), args.delta, rng,
+                         profile=args.profile, **over)
+    if res is None:
         return EXIT_BOTTOM
-    _, res = min(results, key=lambda t: t[0])
     out = serialize.phase_to_dict(res.phase)
     out.update(correlation_estimate=res.correlation_estimate,
                attempts=res.attempts, queries=res.queries)
@@ -171,8 +153,8 @@ def cmd_find_avg(args) -> int:
     tt = _load_table(args)
     rng = derive_rng(args.seed, "find-avg", 0)
     over = _profile_overrides(args)
-    res = find_quadratic_average(tt.as_oracle(), args.epsilon, args.delta, rng,
-                                 profile=args.profile, **over)
+    res = find_quadratic_average(tt.as_oracle(), _epsilon(args), args.delta,
+                                 rng, profile=args.profile, **over)
     if res is None:
         return EXIT_BOTTOM
     out = serialize.average_to_dict(res.average)
@@ -274,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--delta", type=float, default=0.05)
             sp.add_argument("--profile", choices=("paper", "practical"),
                             default="practical")
-            sp.add_argument("--threads", type=int, default=1)
             for name in ("rho", "tau-accept"):
                 sp.add_argument(f"--{name}", type=float, default=None,
                                 dest=name.replace("-", "_"))

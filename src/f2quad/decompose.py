@@ -62,8 +62,7 @@ class RoundedBooleanOracle(FunctionOracle):
 
     f~(x) is +1 with probability (1 + f(x)/B)/2, decided by a keyed
     pseudorandom draw per (seed, x) rather than a memo, so repeated
-    queries are consistent without unbounded storage and concurrent
-    readers need no locking.
+    queries are consistent without unbounded storage.
     """
 
     def __init__(self, base: FunctionOracle, bound: float, seed: int):
@@ -90,8 +89,7 @@ class RoundedBooleanOracle(FunctionOracle):
 
 def boolean_round_oracle(f: FunctionOracle, bound: float,
                          seed: int) -> RoundedBooleanOracle:
-    with np.errstate(over="ignore"):
-        return RoundedBooleanOracle(f, bound, seed)
+    return RoundedBooleanOracle(f, bound, seed)
 
 
 @dataclass
@@ -110,16 +108,10 @@ class Decomposition:
     residual_u3_estimate: float = 0.0
     e_l1_estimate: float = 0.0
     steps_log: list = field(default_factory=list)
-    finder_estimates: list = field(default_factory=list)
     coefficient_mode: str = "fixed"
 
     def residual_oracle(self) -> ResidualOracle:
         return ResidualOracle(self.g, self.terms, self.bound)
-
-    def error_many(self, xs: np.ndarray) -> np.ndarray:
-        r = self.residual_oracle()
-        raw = r.raw_many(xs)
-        return raw - np.clip(raw, -self.bound, self.bound)
 
     def reconstruction_many(self, xs: np.ndarray) -> np.ndarray:
         """sum c_i q_i(x) + e(x) + f(x); equals g pointwise."""
@@ -172,7 +164,6 @@ def decompose(g: FunctionOracle, epsilon: float, bound: float, delta: float,
             found, est = found.negated(), -est
         coeff = eta if coefficient_mode == "fixed" else min(1.0, max(0.01, est))
         dec.terms.append((coeff, found))
-        dec.finder_estimates.append(est)
         tag = " mode=measured(non-standard)" if coefficient_mode == "measured" else ""
         dec.steps_log.append(f"step={step} coeff={coeff:g} est={est:.4f}{tag}")
         if diag is not None:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .gf2 import SubspaceF2, solve_linear_system
 from .functions import (FunctionOracle, TruthTable, hoeffding_samples,
-                        rand_points)
+                        query_product, rand_points)
 
 EXACT_TOL = 1e-9
 U3_EXACT_MAX_N = 14
@@ -67,10 +67,6 @@ class FourierSpectrum:
         out = [(int(a), float(self.coefficients[a])) for a in idx]
         out.sort(key=lambda t: (-abs(t[1]), t[0]))
         return out
-
-    def top(self, k: int) -> list[tuple[int, float]]:
-        order = np.argsort(-np.abs(self.coefficients), kind="stable")[:k]
-        return [(int(a), float(self.coefficients[a])) for a in order]
 
 
 def wht(f: TruthTable) -> FourierSpectrum:
@@ -231,7 +227,7 @@ def _bucket_weight_estimates(query, n, level, buckets, t, rng):
     yl = rng.integers(0, 1 << level, size=t, dtype=np.uint64)
     zh = rng.integers(0, 1 << (n - level), size=t, dtype=np.uint64) << lo \
         if level < n else np.zeros(t, dtype=np.uint64)
-    vals = query(xl | zh) * query(yl | zh)
+    vals = query_product(query, xl | zh, yl | zh)
     b = np.asarray(buckets, dtype=np.uint64)
     return _signed_means(vals, xl ^ yl, b), vals
 

@@ -6,11 +6,22 @@ sampling estimators can run vectorized.  Truth-table-backed oracles are
 immutable and replay-deterministic.  The oracle stack handles n up to
 MAX_ORACLE_N (points are packed in single machine words); the gf2 core
 alone goes higher.
+
+Quadratic phases and averages share one vectorized kernel for the form
+<x, Mx> + <alpha, x> = parity(x & (Mx ^ alpha)).  Mx is the XOR over the
+8-bit chunks of x of ``tables[k][chunk_k(x)]``, where ``tables[k][v]`` is
+M applied to v placed in chunk k: 256 uint64 entries per chunk (2^(n mod
+8) for a short last chunk), so one evaluation costs ceil(n/8) gathers and
+the tables take at most 16 KB at n = 63.  Each object builds its tables
+on first evaluation and keeps them in its instance dict, outside the
+dataclass fields, so equality and hashing are unaffected.  The form
+ignores bits of x at or above n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 import math
 
 import numpy as np
@@ -44,8 +55,7 @@ class FunctionOracle:
     """Query-counted oracle access to a map F_2^n -> [-B, B].
 
     Subclasses implement ``_evaluate``.  ``query_count`` increments once
-    per queried point.  Instances are safe for concurrent readers as
-    long as ``_evaluate`` is pure; counter updates ride on the GIL.
+    per queried point.
     """
 
     def __init__(self, n: int, bound: float = 1.0):
@@ -98,7 +108,7 @@ class DerivativeOracle(FunctionOracle):
         self.shift = int(shift)
 
     def _evaluate(self, xs):
-        return self.base.query_many(xs) * self.base.query_many(xs ^ np.uint64(self.shift))
+        return query_product(self.base.query_many, xs, xs ^ np.uint64(self.shift))
 
 
 class ProductOracle(FunctionOracle):
@@ -115,6 +125,19 @@ class ProductOracle(FunctionOracle):
 
 def derivative(f: FunctionOracle, x: int) -> DerivativeOracle:
     return DerivativeOracle(f, x)
+
+
+def query_product(query, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """query(xs) * query(ys), from one call on the concatenated points.
+
+    The points reach ``query`` in the same order as in two calls, so a
+    pointwise query map returns the same values and counts the same
+    queries.  (``ModelMembership`` decides unseen points in sorted order
+    per call, so there the two agree when every undecided point of ys
+    also occurs in xs.)
+    """
+    vals = query(np.concatenate((xs, ys)))
+    return vals[:len(xs)] * vals[len(xs):]
 
 
 # -- truth tables --------------------------------------------------------------
@@ -174,6 +197,31 @@ def estimate_correlation(f: FunctionOracle, g: FunctionOracle, gamma: float,
 
 # -- quadratic phases ----------------------------------------------------------
 
+def chunk_tables(M: MatF2) -> tuple[np.ndarray, ...]:
+    """tables[k][v] = M (v << 8k) for every value v of the k-th 8-bit
+    chunk of x (the last chunk keeps only the columns below n)."""
+    cols = [M.column(j) for j in range(M.n_cols)]
+    tables = []
+    for lo in range(0, M.n_cols, 8):
+        t = np.zeros(1, dtype=np.uint64)
+        for col in cols[lo:lo + 8]:
+            t = np.concatenate((t, t ^ np.uint64(col)))
+        tables.append(t)
+    return tuple(tables)
+
+
+def quadratic_form_bits(xs: np.ndarray, tables, alpha: int) -> np.ndarray:
+    """<x, Mx> + <alpha, x> over GF(2) per point, as uint8 bits, with M
+    given by its ``chunk_tables``."""
+    mx = tables[0][xs & np.uint64(len(tables[0]) - 1)]
+    for k in range(1, len(tables)):
+        t = tables[k]
+        mx ^= t[(xs >> np.uint64(8 * k)) & np.uint64(len(t) - 1)]
+    if alpha:
+        mx ^= np.uint64(alpha)
+    return parity_many(xs & mx)
+
+
 @dataclass(frozen=True)
 class QuadraticPhase:
     """(-1)^(<x, Mx> + <alpha, x> + c) with M strictly upper triangular.
@@ -220,13 +268,13 @@ class QuadraticPhase:
     def eval(self, x: int) -> float:
         return 1.0 - 2.0 * self.form_bit(x)
 
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, ...]:
+        return chunk_tables(self.M)
+
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        acc = dot_many(xs, self.alpha).astype(np.uint64)
-        for i, row in enumerate(self.M.rows):
-            acc ^= ((xs >> np.uint64(i)) & np.uint64(1)) & dot_many(xs, row)
-        if self.c:
-            acc ^= np.uint64(1)
-        return sign_many(acc)
+        bits = quadratic_form_bits(xs, self._tables, self.alpha)
+        return sign_many(bits ^ np.uint8(self.c))
 
     def truth_table(self) -> TruthTable:
         xs = np.arange(1 << self.n, dtype=np.uint64)
@@ -283,18 +331,19 @@ class QuadraticAverage:
         bit = dot(x, self.A.mul_vec(x)) ^ dot(l, x) ^ c
         return 1.0 - 2.0 * bit
 
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, ...]:
+        return chunk_tables(self.A)
+
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         reps = self.W.canonical_rep_many(xs)
-        quad = np.zeros(xs.shape, dtype=np.uint64)
-        for i, row in enumerate(self.A.rows):
-            quad ^= ((xs >> np.uint64(i)) & np.uint64(1)) & dot_many(xs, row)
+        quad = quadratic_form_bits(xs, self._tables, 0)
         out = np.zeros(xs.shape, dtype=np.float64)
         for y, (l, c) in self.coset_terms.items():
             hit = reps == np.uint64(y)
             if not np.any(hit):
                 continue
-            bits = (quad[hit] ^ dot_many(xs[hit], l) ^ np.uint64(c & 1)) & np.uint64(1)
-            out[hit] = sign_many(bits)
+            out[hit] = sign_many(quad[hit] ^ dot_many(xs[hit], l) ^ np.uint8(c & 1))
         return out
 
     def truth_table(self) -> TruthTable:
@@ -307,10 +356,6 @@ class QuadraticAverage:
     def negated(self) -> "QuadraticAverage":
         flipped = {y: (l, c ^ 1) for y, (l, c) in self.coset_terms.items()}
         return QuadraticAverage(self.W, self.A, flipped, self.n)
-
-
-def eval_quadratic_average(Q: QuadraticAverage, x: int) -> float:
-    return Q.eval(x)
 
 
 # -- synthetic instances -------------------------------------------------------

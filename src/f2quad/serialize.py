@@ -21,7 +21,7 @@ import json
 
 import numpy as np
 
-from .gf2 import MatF2, SubspaceF2
+from .gf2 import MAX_ENUM_N, MatF2, SubspaceF2, check_dim
 from .functions import QuadraticAverage, QuadraticPhase, TruthTable
 from .fourier import FourierSpectrum
 
@@ -48,6 +48,7 @@ def table_from_text(text: str) -> TruthTable:
     if len(lines) < 2 or not lines[0].startswith("n="):
         raise ValueError("malformed truth-table text")
     n = int(lines[0][2:])
+    check_dim(n, MAX_ENUM_N)  # before 1 << n can exhaust memory
     body = lines[1].strip()
     if len(body) != 1 << n or set(body) - {"+", "-"}:
         raise ValueError("truth-table body must be 2^n characters of +/-")
@@ -68,6 +69,7 @@ def table_from_binary(blob: bytes) -> TruthTable:
     if len(blob) < 8:
         raise ValueError("truncated binary truth table")
     n = int.from_bytes(blob[:8], "little")
+    check_dim(n, MAX_ENUM_N)  # before 1 << n can exhaust memory
     m = 1 << n
     need = (m + 7) // 8
     if len(blob) < 8 + need:

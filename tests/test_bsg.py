@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from f2quad.gf2 import SubspaceF2, dot
-from f2quad.functions import (TableOracle, make_noisy_codeword,
+from f2quad.gf2 import SubspaceF2, dot, parity_many
+from f2quad.functions import (TableOracle, make_noisy_codeword, rand_points,
                               random_boolean_table, random_quadratic_phase)
 from f2quad.fourier import derivative_table, wht
 from f2quad.bsg import (BsgParams, DiagnosticsLog, PhiRecord, PhiSampler,
@@ -271,3 +271,17 @@ def test_estimate_derivative_coefficient_concentrates():
     est = estimate_derivative_coefficient(q.as_oracle(), 37, B.mul_vec(37),
                                           2048, rng)
     assert abs(abs(est) - 1.0) < 1e-12  # pure phase: every sample is +-1
+
+
+def test_estimate_derivative_coefficient_matches_two_call_reference():
+    tt = random_boolean_table(9, np.random.default_rng(16))
+    f, ref = tt.as_oracle(), tt.as_oracle()
+    x, alpha, t = 0x0f3, 0x155, 777
+    got = estimate_derivative_coefficient(f, x, alpha, t,
+                                          np.random.default_rng(17))
+    rng = np.random.default_rng(17)
+    ys = rand_points(rng, 9, t)
+    vals = ref.query_many(ys) * ref.query_many(ys ^ np.uint64(x))
+    par = parity_many(ys & np.uint64(alpha)).astype(np.float64)
+    assert got == float(vals.mean() - 2.0 * (vals @ par) / t)
+    assert f.query_count == ref.query_count == 2 * t

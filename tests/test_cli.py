@@ -136,6 +136,25 @@ def test_missing_input_is_input_error(capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize("blob", [b"n=99999999999\n+-\n",
+                                  (1 << 62).to_bytes(8, "little") + bytes(8)])
+def test_huge_header_is_input_error(tmp_path, capsys, blob):
+    tab = tmp_path / "t.tab"
+    tab.write_bytes(blob)
+    code = main(["wht", "--in", str(tab)])
+    assert code == EXIT_INPUT
+    assert "outside supported range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["find-quad", "find-avg"])
+def test_missing_epsilon_is_input_error(tmp_path, capsys, cmd):
+    tab = tmp_path / "t.txt"
+    run(capsys, "gen", "--n", "4", "--plant", "random", "--out", str(tab))
+    code = main([cmd, "--in", str(tab)])
+    assert code == EXIT_INPUT
+    assert "--epsilon is required" in capsys.readouterr().err
+
+
 def test_paper_profile_rejects_overrides(tmp_path, capsys):
     tab = tmp_path / "t.txt"
     run(capsys, "gen", "--n", "8", "--plant", "quad", "--seed", "1",
@@ -160,16 +179,3 @@ def test_bench_smoke(capsys):
     assert lines[0] == "op n seconds"
     assert any(ln.startswith("wht ") for ln in lines)
     assert any(ln.startswith("find-quad ") for ln in lines)
-
-
-def test_threads_deterministic(tmp_path, capsys):
-    tab = tmp_path / "t.txt"
-    run(capsys, "gen", "--n", "8", "--plant", "quad", "--seed", "9",
-        "--out", str(tab))
-    outs = []
-    for _ in range(2):
-        code, out = run(capsys, "find-quad", "--in", str(tab), "--epsilon",
-                        "0.5", "--seed", "11", "--threads", "2")
-        assert code == EXIT_OK
-        outs.append(out)
-    assert outs[0] == outs[1]

@@ -10,8 +10,8 @@ from f2quad.functions import (DerivativeOracle, QuadraticAverage,
                               derivative, estimate_correlation,
                               eval_quadratic_phase, hoeffding_samples,
                               make_noisy_codeword, make_noisy_codeword_exact,
-                              random_boolean_table, random_quadratic_average,
-                              random_quadratic_phase)
+                              rand_points, random_boolean_table,
+                              random_quadratic_average, random_quadratic_phase)
 from f2quad.fourier import derivative_table, wht
 
 
@@ -65,6 +65,35 @@ def test_canonicalization_folds_diagonal():
                                   ^ M.transpose().diag_vector(), 1)
     assert q == QuadraticPhase.canonical(M, 3, 1)
     assert q2.M == q.M
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 63])
+def test_eval_many_matches_scalar_eval(n):
+    # chunk boundaries at 8 and 16, a one-column last chunk at 9 and 17,
+    # and the widest oracle dimension
+    rng = np.random.default_rng(300 + n)
+    full = (1 << n) - 1
+    pts = [0, full] + [int(v) for v in rand_points(rng, n, 60)]
+    stray = [p | (int(rng.integers(1, 1 << (64 - n), dtype=np.uint64)) << n)
+             for p in pts[:20]]
+    xs = np.array(pts + stray, dtype=np.uint64)
+    for trial in range(3):
+        q = random_quadratic_phase(n, rng)
+        got = q.eval_many(xs)
+        assert got.dtype == np.float64
+        assert list(got) == [q.eval(int(x)) for x in xs]
+        # bits at or above n are ignored
+        assert np.array_equal(got, q.eval_many(xs & np.uint64(full)))
+        Q = random_quadratic_average(n, min(2, n), rng)
+        assert list(Q.eval_many(xs)) == [Q.eval(int(x)) for x in xs]
+
+
+def test_eval_many_tables_leave_equality_alone():
+    rng = np.random.default_rng(12)
+    q = random_quadratic_phase(10, rng)
+    twin = QuadraticPhase(q.M, q.alpha, q.c, q.n)
+    q.eval_many(np.arange(4, dtype=np.uint64))  # builds q's tables only
+    assert q == twin and hash(q) == hash(twin)
 
 
 def test_average_constant_one():
@@ -173,11 +202,14 @@ def test_estimate_correlation_planted():
 
 def test_derivative_oracle_counts_two_base_queries():
     rng = np.random.default_rng(8)
-    f = random_boolean_table(8, rng).as_oracle()
+    tt = random_boolean_table(8, rng)
+    f, ref = tt.as_oracle(), tt.as_oracle()
     d = derivative(f, 13)
     xs = np.arange(32, dtype=np.uint64)
-    d.query_many(xs)
-    assert f.query_count == 64
+    # one batched base call, same values and counts as two separate calls
+    expect = ref.query_many(xs) * ref.query_many(xs ^ np.uint64(13))
+    assert np.array_equal(d.query_many(xs), expect)
+    assert f.query_count == ref.query_count == 64
     assert d.query_count == 32
 
 

@@ -41,6 +41,19 @@ def test_text_rejects_malformed():
         serialize.table_from_text("nope\n++++\n")
 
 
+@pytest.mark.parametrize("n", [99999999999, 25, 0, -1])
+def test_text_rejects_header_dimension(n):
+    # checked before the body length 2^n is ever formed
+    with pytest.raises(ValueError, match="dimension"):
+        serialize.table_from_text(f"n={n}\n++\n")
+
+
+@pytest.mark.parametrize("n", [1 << 62, (1 << 64) - 1, 25, 0])
+def test_binary_rejects_header_dimension(n):
+    with pytest.raises(ValueError, match="dimension"):
+        serialize.table_from_binary(n.to_bytes(8, "little") + bytes(16))
+
+
 def test_file_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     tt = random_boolean_table(7, rng)
