@@ -179,7 +179,6 @@ def best_quadratic_correlation(f: TruthTable) -> tuple[QuadraticPhase, float]:
         sel = ((codes[:, None] >> np.arange(npairs)[None, :]) & 1)
         forms = (sel @ pair_par) & 1  # quadratic-form bits, chunk x m
         tables = f.values[None, :] * (1.0 - 2.0 * forms)
-        spec = _fwht_raw(tables.reshape(-1)) if False else None
         # batched transform along the last axis
         a = tables
         hh = 1

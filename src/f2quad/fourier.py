@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .gf2 import SubspaceF2, solve_linear_system
+from .gf2 import SubspaceF2, combine_many, solve_linear_system
 from .functions import (FunctionOracle, TruthTable, hoeffding_samples,
                         query_product, rand_points)
 
@@ -331,10 +331,7 @@ def goldreich_levin_subspace(f: FunctionOracle, W: SubspaceF2, gamma: float,
         return []
 
     def query(us):
-        pts = np.zeros(us.shape, dtype=np.uint64)
-        for i, b in enumerate(basis):
-            pts ^= np.uint64(b) * ((us >> np.uint64(i)) & np.uint64(1))
-        return f.query_many(pts)
+        return f.query_many(combine_many(us, basis))
 
     found = _gl_tree(query, d, gamma, delta, rng, bound=f.bound,
                      t_bucket=t_bucket, t_leaf=t_leaf, repeats=repeats,

@@ -128,13 +128,10 @@ def derivative(f: FunctionOracle, x: int) -> DerivativeOracle:
 
 
 def query_product(query, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """query(xs) * query(ys), from one call on the concatenated points.
-
-    The points reach ``query`` in the same order as in two calls, so a
-    pointwise query map returns the same values and counts the same
-    queries.  (``ModelMembership`` decides unseen points in sorted order
-    per call, so there the two agree when every undecided point of ys
-    also occurs in xs.)
+    """query(xs) * query(ys) from one call on the concatenated points:
+    same values and query count for a pointwise query map.
+    (``ModelMembership`` decides unseen points in sorted order per call;
+    there the two agree when every undecided point of ys is in xs.)
     """
     vals = query(np.concatenate((xs, ys)))
     return vals[:len(xs)] * vals[len(xs):]

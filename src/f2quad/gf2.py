@@ -451,13 +451,6 @@ class SubspaceF2:
                 x ^= b
         return x
 
-    def sample_many(self, rng, size: int) -> np.ndarray:
-        d = self.dim
-        if d == 0:
-            return np.zeros(size, dtype=np.uint64)
-        coeffs = rng.integers(0, 1 << d, size=size, dtype=np.uint64)
-        return combine_many(coeffs, self.basis())
-
     def enumerate_elements(self) -> np.ndarray:
         if self.dim > MAX_ENUM_N:
             raise ValueError(f"refusing to enumerate a subspace of dimension {self.dim}")

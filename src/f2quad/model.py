@@ -28,7 +28,7 @@ from .functions import (CallableOracle, FunctionOracle, QuadraticAverage,
 from .fourier import goldreich_levin, goldreich_levin_subspace, u3_power_gate, estimate_u3
 from .bsg import (BsgParams, DiagnosticsLog, PhiSampler, bsg_test,
                   choose_bsg_params, edge_test)
-from .recovery import _symmetric_extension, screen_anchor
+from .recovery import _BSG_KNOBS, _symmetric_extension, screen_anchor
 
 
 @dataclass(frozen=True)
@@ -431,8 +431,6 @@ AVERAGE_DEFAULTS = dict(
     validate_gamma=0.02, validate_delta=0.01,
     complexity_cap=None, gate_cap=1 << 26,
 )
-
-_BSG_KNOBS = ("rho", "interval", "n_subintervals", "r", "s", "t_edge")
 
 
 def find_quadratic_average(f: FunctionOracle, epsilon: float, delta: float,
