@@ -123,6 +123,11 @@ class Decomposition:
         return acc + raw  # e + f = raw by definition
 
 
+def _check_args(epsilon: float, bound: float, delta: float, eta: float) -> None:
+    if not (0 < epsilon < 1 and 0 < delta < 1 and bound > 1 and eta > 0):
+        raise ValueError("need epsilon, delta in (0,1), B > 1 and eta > 0")
+
+
 def decompose(g: FunctionOracle, epsilon: float, bound: float, delta: float,
               finder, rng, *, eta: float = 0.5, k_max: int | None = None,
               coefficient_mode: str = "fixed",
@@ -142,8 +147,7 @@ def decompose(g: FunctionOracle, epsilon: float, bound: float, delta: float,
     (flagged non-standard in the log) subtracts the measured
     correlation, clamped to [eta, 1].
     """
-    if not (0 < epsilon < 1 and 0 < delta < 1 and bound > 1):
-        raise ValueError("need epsilon, delta in (0,1) and B > 1")
+    _check_args(epsilon, bound, delta, eta)
     if coefficient_mode not in ("fixed", "measured"):
         raise ValueError("coefficient_mode must be 'fixed' or 'measured'")
     if k_max is None:
@@ -206,6 +210,7 @@ def decompose_full(g: FunctionOracle, epsilon: float, bound: float,
     k_max + 1 finder calls; the split is recorded in the diagnostics
     log.
     """
+    _check_args(epsilon, bound, delta, eta)
     if mode not in ("phases", "averages"):
         raise ValueError("mode must be 'phases' or 'averages'")
     if k_max is None:

@@ -7,6 +7,11 @@ linear decomposition, implemented as the prefix-bucket estimation tree
 (estimate the squared Fourier weight of each bucket of characters by
 pair sampling and recurse on buckets whose estimated weight clears
 gamma^2/2).  Both are available globally and relative to a subspace.
+Every Goldreich-Levin estimate is a signed mean of samples against a
+set of masks (`_signed_means`); the sampled words lie below 2^level
+(buckets) or 2^n (leaves), so when there are at least as many samples
+as words the samples are first summed per word and the parity matrix
+spans the words, not the samples.
 
 Conventions: f_hat(alpha) = E_x f(x) (-1)^(<alpha, x>); the butterfly
 is unnormalized, so applying it twice yields 2^n f.  Exact-arithmetic
@@ -204,14 +209,31 @@ def u3_power_gate(f: FunctionOracle, threshold_norm: float, rng, *,
 
 # -- Goldreich-Levin -----------------------------------------------------------
 
-def _signed_means(vals: np.ndarray, words: np.ndarray,
-                  masks: np.ndarray) -> np.ndarray:
-    """mean_t vals[t] * (-1)^(<words[t], masks[j]>) for every mask j,
-    as one parity matrix and one BLAS product."""
+def _signed_means(vals: np.ndarray, words: np.ndarray, masks: np.ndarray,
+                  bits: int) -> np.ndarray:
+    """mean_t vals[t] * (-1)^(<words[t], masks[j]>) for every mask j, with
+    every word below 2^bits, as one parity matrix and one BLAS product.
+
+    With S_j the sum of the samples of odd parity against mask j, the
+    mean is mean(vals) - 2 S_j / t.  When 2^bits <= t the samples that
+    share a word are summed first (np.bincount, in float64), and the
+    parity matrix spans the 2^bits distinct words instead of the t
+    samples, so it never exceeds min(t, 2^bits) x len(masks) entries.
+    Integer-valued samples (+-1 or 0/1) give exact S_j on both paths
+    while t < 2^24, and the final float32 arithmetic is shared, so the
+    estimates are bit-identical to the per-sample product.
+    """
+    t = len(vals)
+    v32 = vals.astype(np.float32)
+    if (1 << bits) <= t:
+        weights = np.bincount(words.astype(np.intp), weights=vals,
+                              minlength=1 << bits).astype(np.float32)
+        words = np.arange(1 << bits, dtype=np.uint64)
+    else:
+        weights = v32
     par = (np.bitwise_count(words[:, None] & masks[None, :])
            & np.uint8(1)).astype(np.float32)
-    v32 = vals.astype(np.float32)
-    return (v32.mean() - 2.0 * (v32 @ par) / len(vals)).astype(np.float64)
+    return (v32.mean() - 2.0 * (weights @ par) / t).astype(np.float64)
 
 
 def _bucket_weight_estimates(query, n, level, buckets, t, rng):
@@ -229,12 +251,12 @@ def _bucket_weight_estimates(query, n, level, buckets, t, rng):
         if level < n else np.zeros(t, dtype=np.uint64)
     vals = query_product(query, xl | zh, yl | zh)
     b = np.asarray(buckets, dtype=np.uint64)
-    return _signed_means(vals, xl ^ yl, b), vals
+    return _signed_means(vals, xl ^ yl, b, level), vals
 
 
 def _coefficient_estimates(query, n, alphas, t, rng):
     xs = rand_points(rng, n, t)
-    return _signed_means(query(xs), xs, np.asarray(alphas, dtype=np.uint64))
+    return _signed_means(query(xs), xs, np.asarray(alphas, dtype=np.uint64), n)
 
 
 def _gl_defaults(n, gamma, delta, bound):

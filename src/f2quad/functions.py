@@ -320,6 +320,7 @@ class QuadraticAverage:
         return self.W.codim
 
     def eval(self, x: int) -> float:
+        x = int(x) & ((1 << self.n) - 1)  # bits at or above n are ignored
         y = self.W.canonical_rep(x)
         term = self.coset_terms.get(y)
         if term is None:
@@ -333,6 +334,7 @@ class QuadraticAverage:
         return chunk_tables(self.A)
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
+        xs = xs & np.uint64((1 << self.n) - 1)
         reps = self.W.canonical_rep_many(xs)
         quad = quadratic_form_bits(xs, self._tables, 0)
         out = np.zeros(xs.shape, dtype=np.float64)
@@ -370,14 +372,22 @@ def random_quadratic_phase(n: int, rng, density: float = 0.5) -> QuadraticPhase:
     return QuadraticPhase(MatF2(rows, n), alpha, c, n)
 
 
-def random_quadratic_average(n: int, codim: int, rng) -> QuadraticAverage:
-    """Random average with a shared quadratic part and a full set of
-    per-coset linear terms."""
+def _random_subspace(n: int, codim: int, rng) -> SubspaceF2:
+    """W = the orthogonal complement of codim random nonzero vectors,
+    redrawn until they are independent."""
+    if not 0 <= codim <= n:  # no draw could ever reach this codimension
+        raise ValueError(f"codim must lie in [0, n] = [0, {n}], got {codim}")
     while True:
         ortho = [int(rng.integers(1, 1 << n)) for _ in range(codim)]
         W = SubspaceF2(ortho, n)
         if W.codim == codim:
-            break
+            return W
+
+
+def random_quadratic_average(n: int, codim: int, rng) -> QuadraticAverage:
+    """Random average with a shared quadratic part and a full set of
+    per-coset linear terms."""
+    W = _random_subspace(n, codim, rng)
     A = symmetric_split(random_symmetric_zero_diag(n, rng))
     terms = {}
     for y in W.coset_reps():
@@ -401,11 +411,7 @@ def coherent_quadratic_average(n: int, codim: int, rng) -> QuadraticAverage:
     most 2), though the average presentation is what the recovery
     machinery sees and returns.
     """
-    while True:
-        ortho = [int(rng.integers(1, 1 << n)) for _ in range(codim)]
-        W = SubspaceF2(ortho, n)
-        if W.codim == codim:
-            break
+    W = _random_subspace(n, codim, rng)
     A = symmetric_split(random_symmetric_zero_diag(n, rng))
     reps = [int(y) for y in W.coset_reps()]
     l0 = int(rng.integers(0, 1 << n))

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .gf2 import (MatF2, SpanBuilder, SubspaceF2,
+from .gf2 import (MAX_ENUM_N, MatF2, SpanBuilder, SubspaceF2,
                   complete_basis_full_rank_projection, dot, graph_linear_map,
                   reduce_mod_basis, row_reduce, solve_linear_system,
                   symmetric_split)
@@ -447,9 +447,15 @@ def find_quadratic_average(f: FunctionOracle, epsilon: float, delta: float,
     uniformly random c works with probability ~theta and would be
     re-drawn anyway) and rejects attempts whose complexity exceeds the
     configured cap.
+
+    The model-membership memo is a dense 2^n table, so the dimension is
+    capped at MAX_ENUM_N; a larger f is refused before any query.
     """
     if not (0 < epsilon < 1 and 0 < delta < 1):
         raise ValueError("epsilon and delta must lie in (0, 1)")
+    if f.n > MAX_ENUM_N:
+        raise ValueError(f"find_quadratic_average refuses n > {MAX_ENUM_N} "
+                         f"(dense 2^n membership memo), got n = {f.n}")
     knobs = dict(AVERAGE_DEFAULTS)
     knobs.update(overrides)
     start_queries = f.query_count

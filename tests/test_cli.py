@@ -155,6 +155,25 @@ def test_missing_epsilon_is_input_error(tmp_path, capsys, cmd):
     assert "--epsilon is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--eta", "--bound"])
+def test_decompose_zero_parameter_is_input_error(tmp_path, capsys, flag):
+    tab = tmp_path / "t.txt"
+    run(capsys, "gen", "--n", "4", "--plant", "random", "--out", str(tab))
+    code = main(["decompose", "--in", str(tab), flag, "0"])
+    assert code == EXIT_INPUT
+    assert "B > 1 and eta > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("codim", ["9", "-1"])
+def test_gen_avg_codim_out_of_range_is_input_error(tmp_path, capsys, codim):
+    tab = tmp_path / "t.txt"
+    code = main(["gen", "--n", "6", "--plant", "avg", "--codim", codim,
+                 "--out", str(tab)])
+    assert code == EXIT_INPUT
+    assert "codim must lie in [0, n]" in capsys.readouterr().err
+    assert not tab.exists()
+
+
 def test_paper_profile_rejects_overrides(tmp_path, capsys):
     tab = tmp_path / "t.txt"
     run(capsys, "gen", "--n", "8", "--plant", "quad", "--seed", "1",

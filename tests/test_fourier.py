@@ -6,8 +6,8 @@ import pytest
 from f2quad.gf2 import SubspaceF2, dot, dot_many, sign_many
 from f2quad.functions import (TableOracle, TruthTable, planted_sign_mixture,
                               random_boolean_table, random_quadratic_phase)
-from f2quad.fourier import (estimate_u3, exact_u2, exact_u3, exact_u_norm,
-                            fwht, goldreich_levin, goldreich_levin_subspace,
+from f2quad.fourier import (_signed_means, estimate_u3, exact_u2, exact_u3,
+                            exact_u_norm, fwht, goldreich_levin, goldreich_levin_subspace,
                             spectrum_to_table, u3_power_gate, u3_sample_count,
                             wht)
 from f2quad.bruteforce import u2_direct, u3_direct
@@ -209,3 +209,55 @@ def test_gl_query_budget_scaling():
     goldreich_levin(orc, 0.5, 0.05, rng, t_bucket=256, t_leaf=256, repeats=1)
     # per level 2 t_bucket queries, plus one leaf pass
     assert orc.query_count <= 2 * 256 * 8 + 256 + 256
+
+
+def per_sample_signed_means(vals, words, masks):
+    """The per-sample parity product, kept as the reference for the
+    word-summed one."""
+    par = (np.bitwise_count(words[:, None] & masks[None, :])
+           & np.uint8(1)).astype(np.float32)
+    v32 = vals.astype(np.float32)
+    return (v32.mean() - 2.0 * (v32 @ par) / len(vals)).astype(np.float64)
+
+
+@pytest.mark.parametrize("t,bits", [(64, 5), (64, 6), (64, 8), (100, 6),
+                                    (100, 7), (1 << 17, 6), (3000, 12),
+                                    (1, 1)])
+@pytest.mark.parametrize("kind", ["sign", "indicator"])
+def test_signed_means_matches_per_sample_reference(t, bits, kind):
+    # 2^bits below, equal to and above t; t a power of two and not
+    rng = np.random.default_rng(t * 31 + bits)
+    words = rng.integers(0, 1 << bits, size=t, dtype=np.uint64)
+    masks = np.unique(rng.integers(0, 1 << bits, size=96, dtype=np.uint64))
+    vals = rng.integers(0, 2, size=t).astype(np.float64)
+    if kind == "sign":
+        vals = 1.0 - 2.0 * vals
+    got = _signed_means(vals, words, masks, bits)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, per_sample_signed_means(vals, words, masks))
+
+
+@pytest.mark.parametrize("t,bits", [(4096, 6), (100, 8)])
+def test_signed_means_real_values(t, bits):
+    rng = np.random.default_rng(bits)
+    words = rng.integers(0, 1 << bits, size=t, dtype=np.uint64)
+    masks = np.arange(1 << bits, dtype=np.uint64)
+    vals = rng.uniform(-2.0, 2.0, size=t)
+    signs = 1.0 - 2.0 * (np.bitwise_count(words[:, None] & masks[None, :]) & 1)
+    want = np.mean(vals[:, None] * signs, axis=0)
+    assert np.max(np.abs(_signed_means(vals, words, masks, bits) - want)) < 1e-6
+
+
+def test_goldreich_levin_zero_one_table_pinned():
+    # a seeded run on a 0/1 indicator (the Bogolyubov input type) returns
+    # exactly what the per-sample product returned
+    n = 6
+    W = SubspaceF2([0b000111, 0b101010], n)
+    xs = np.arange(1 << n, dtype=np.uint64)
+    vals = (W.canonical_rep_many(xs) == 0).astype(np.float64)
+    vals[[5, 17, 40, 63]] = 1.0 - vals[[5, 17, 40, 63]]
+    orc = TableOracle(vals, n)
+    out = goldreich_levin(orc, 0.2, 0.05, np.random.default_rng(2024))
+    assert out == [(0, 0.24333620071411133), (45, 0.21926052868366241),
+                   (42, 0.2106620818376541), (7, 0.1865864098072052)]
+    assert orc.query_count == 8373262

@@ -85,7 +85,9 @@ def test_eval_many_matches_scalar_eval(n):
         # bits at or above n are ignored
         assert np.array_equal(got, q.eval_many(xs & np.uint64(full)))
         Q = random_quadratic_average(n, min(2, n), rng)
-        assert list(Q.eval_many(xs)) == [Q.eval(int(x)) for x in xs]
+        got = Q.eval_many(xs)
+        assert list(got) == [Q.eval(int(x)) for x in xs]
+        assert np.array_equal(got, Q.eval_many(xs & np.uint64(full)))
 
 
 def test_eval_many_tables_leave_equality_alone():
@@ -251,3 +253,16 @@ def test_coherent_average_codim3_not_a_phase():
     Q = coherent_quadratic_average(6, 3, np.random.default_rng(7))
     _, best = best_quadratic_correlation(Q.truth_table())
     assert best < 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("make", [random_quadratic_average,
+                                  coherent_quadratic_average])
+def test_average_codim_range(make):
+    rng = np.random.default_rng(40)
+    for codim in (7, -1):
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="codim"):
+            make(6, codim, rng)
+        assert rng.bit_generator.state == before  # refused before any draw
+    for codim in (0, 6):
+        assert make(6, codim, rng).complexity == codim

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from f2quad.gf2 import MatF2, SubspaceF2, dot
-from f2quad.functions import (QuadraticAverage, TableOracle, TruthTable,
-                              coherent_quadratic_average, correlation_exact,
-                              random_boolean_table, random_quadratic_average,
+from f2quad.functions import (CallableOracle, QuadraticAverage, TableOracle,
+                              TruthTable, coherent_quadratic_average,
+                              correlation_exact, random_boolean_table,
+                              random_quadratic_average,
                               random_quadratic_phase, symmetric_split)
 from f2quad.fourier import derivative_table, exact_u3, wht
 from f2quad.bruteforce import SetF2, convolution_power, sumset
@@ -372,6 +373,16 @@ def test_find_quadratic_average_planted_small():
     assert res is not None
     corr = correlation_exact(res.average.truth_table(), tt)
     assert corr >= 0.15 and res.complexity <= 4
+
+
+def test_find_quadratic_average_refuses_dense_memo_dimension():
+    def never(xs):
+        raise AssertionError("the oracle must not be queried")
+
+    orc = CallableOracle(never, 30)
+    with pytest.raises(ValueError, match="n > 24"):
+        find_quadratic_average(orc, 0.25, 0.05, np.random.default_rng(0))
+    assert orc.query_count == 0
 
 
 def test_find_quadratic_average_random_bottoms():
