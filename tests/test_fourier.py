@@ -7,9 +7,9 @@ from f2quad.gf2 import SubspaceF2, dot, dot_many, sign_many
 from f2quad.functions import (TableOracle, TruthTable, planted_sign_mixture,
                               random_boolean_table, random_quadratic_phase)
 from f2quad.fourier import (_signed_means, estimate_u3, exact_u2, exact_u3,
-                            exact_u_norm, fwht, goldreich_levin, goldreich_levin_subspace,
-                            spectrum_to_table, u3_power_gate, u3_sample_count,
-                            wht)
+                            exact_u_norm, fwht, goldreich_levin,
+                            goldreich_levin_subspace, spectrum_to_table,
+                            u3_power_gate, u3_sample_count, wht)
 from f2quad.bruteforce import u2_direct, u3_direct
 
 
