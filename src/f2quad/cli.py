@@ -7,7 +7,8 @@ cross-checks), bench (timing table).  All randomness derives from the
 single --seed through a documented scheme (seed, subcommand, attempt
 index), so equal invocations produce byte-identical outputs.
 
-Exit codes: 0 success, 1 input error, 2 bottom result.
+Exit codes: 0 success, 1 input error (a usage error included), 2 bottom
+result.
 """
 
 from __future__ import annotations
@@ -56,6 +57,14 @@ class SystemExit2(Exception):
     def __init__(self, msg, code):
         super().__init__(msg)
         self.code = code
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, the code for bottom here; a
+    usage error is an input error."""
+
+    def error(self, message):
+        raise SystemExit2(f"{self.prog}: {message}", EXIT_INPUT)
 
 
 def cmd_gen(args) -> int:
@@ -125,6 +134,8 @@ def _profile_overrides(args) -> dict:
         if out:
             raise SystemExit2("profile overrides only valid in practical mode",
                               EXIT_INPUT)
+    if out.get("m_attempts", 1) < 1:
+        raise SystemExit2("--m-attempts must be at least 1", EXIT_INPUT)
     return out
 
 
@@ -242,8 +253,8 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="f2quad",
-                                description="quadratic Fourier analysis over F_2^n")
+    p = _Parser(prog="f2quad",
+                description="quadratic Fourier analysis over F_2^n")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, *, eps=False, inp=False):
@@ -321,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except SystemExit2 as e:
         print(f"error: {e}", file=sys.stderr)

@@ -21,12 +21,13 @@ at least eta^2, and the potential starts at most 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import math
 
 import numpy as np
 
 from .functions import (FunctionOracle, estimate_correlation,
-                        hoeffding_samples, rand_points)
+                        hoeffding_samples, lookup, rand_points, value_table)
 from .fourier import estimate_u3, u3_power_gate
 from .bsg import DiagnosticsLog
 from .recovery import find_quadratic
@@ -62,7 +63,9 @@ class RoundedBooleanOracle(FunctionOracle):
 
     f~(x) is +1 with probability (1 + f(x)/B)/2, decided by a keyed
     pseudorandom draw per (seed, x) rather than a memo, so repeated
-    queries are consistent without unbounded storage.
+    queries are consistent without unbounded storage.  The draw reads
+    the low n bits of x; at n <= MAX_TABLE_N the draws of all 2^n points
+    are hashed once into a value table and gathered from there.
     """
 
     def __init__(self, base: FunctionOracle, bound: float, seed: int):
@@ -71,7 +74,15 @@ class RoundedBooleanOracle(FunctionOracle):
         self.round_bound = float(bound)
         self.seed = np.uint64(seed & ((1 << 64) - 1))
 
+    @cached_property
+    def _draws(self) -> np.ndarray | None:
+        return value_table(self._hash_uniform, self.n)
+
     def _uniform(self, xs: np.ndarray) -> np.ndarray:
+        return lookup(self._draws, self._hash_uniform, xs)
+
+    def _hash_uniform(self, xs: np.ndarray) -> np.ndarray:
+        xs = xs & np.uint64((1 << self.n) - 1)
         with np.errstate(over="ignore"):
             z = (xs * np.uint64(0x9E3779B97F4A7C15)) ^ self.seed
             z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)

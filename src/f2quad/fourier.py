@@ -209,6 +209,9 @@ def u3_power_gate(f: FunctionOracle, threshold_norm: float, rng, *,
 
 # -- Goldreich-Levin -----------------------------------------------------------
 
+MAX_GL_SAMPLES = 1 << 24  # _signed_means is exact below this many samples
+
+
 def _signed_means(vals: np.ndarray, words: np.ndarray, masks: np.ndarray,
                   bits: int) -> np.ndarray:
     """mean_t vals[t] * (-1)^(<words[t], masks[j]>) for every mask j, with
@@ -279,6 +282,12 @@ def _gl_tree(query, n, gamma, delta, rng, *, bound=1.0, t_bucket=None,
     live_cap = live_cap or cap_d
     t_bucket = t_bucket or tb_d
     t_leaf = t_leaf or tl_d
+    if max(t_bucket, t_leaf) >= MAX_GL_SAMPLES:
+        raise ValueError(
+            f"Goldreich-Levin at gamma={gamma:g} needs t_bucket={t_bucket} "
+            f"and t_leaf={t_leaf} samples, at or above 2^24 (where "
+            f"the float32 means stop being exact); raise gamma or pass "
+            f"smaller counts")
     if repeats is None:
         repeats = max(1, math.ceil(math.log2(1.0 / gamma))) if gamma < 1 else 1
     threshold = gamma * gamma / 2.0

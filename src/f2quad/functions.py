@@ -16,6 +16,17 @@ the tables take at most 16 KB at n = 63.  Each object builds its tables
 on first evaluation and keeps them in its instance dict, outside the
 dataclass fields, so equality and hashing are unaffected.  The form
 ignores bits of x at or above n.
+
+At n <= MAX_TABLE_N (16) a quadratic object, and the rounding oracle of
+the decomposition loop, also keep a value table: the kernel's own
+outputs at all 2^n points, 8 * 2^n bytes (at most 512 KB), built on
+first evaluation.  ``eval_many`` then answers with one gather on the low
+n bits of each point, so its values are those of the kernel bit for
+bit.  Above n = 16 the kernel answers every call, and it stays the
+reference the tests compare the tables against.
+
+A ``TableOracle`` answers the points 0 .. 2^n - 1 and raises IndexError
+for every point at or above 2^n.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ from .gf2 import (MAX_ENUM_N, MatF2, SubspaceF2, check_dim, dot, dot_many,
                   parity_many, sign_many, symmetric_split)
 
 MAX_ORACLE_N = 63
+MAX_TABLE_N = 16  # value tables of 2^n float64 entries, at most 512 KB
 
 
 def rand_points(rng, n: int, size: int) -> np.ndarray:
@@ -82,7 +94,12 @@ class TableOracle(FunctionOracle):
         self._values = values
 
     def _evaluate(self, xs):
-        return self._values[xs]
+        # numpy reads a uint64 index through intp, so 2^64 - 1 would wrap
+        # to the last entry; range-check, then gather through an intp view
+        # (the faster index type)
+        if xs.size and int(xs.max()) >> self.n:
+            raise IndexError(f"point out of range for n = {self.n}")
+        return self._values[xs.view(np.int64)]
 
 
 class CallableOracle(FunctionOracle):
@@ -192,6 +209,23 @@ def estimate_correlation(f: FunctionOracle, g: FunctionOracle, gamma: float,
     return float(np.mean(f.query_many(xs) * g.query_many(xs)))
 
 
+# -- value tables --------------------------------------------------------------
+
+def value_table(kernel, n: int) -> np.ndarray | None:
+    """kernel(x) at every point of F_2^n, or None above MAX_TABLE_N."""
+    if n > MAX_TABLE_N:
+        return None
+    return kernel(np.arange(1 << n, dtype=np.uint64))
+
+
+def lookup(table: np.ndarray | None, kernel, xs: np.ndarray) -> np.ndarray:
+    """kernel(xs) for a kernel that reads only the low n bits of a point:
+    one gather from its ``value_table``, or the kernel when there is none."""
+    if table is None:
+        return kernel(xs)
+    return table[(xs & np.uint64(len(table) - 1)).view(np.int64)]
+
+
 # -- quadratic phases ----------------------------------------------------------
 
 def chunk_tables(M: MatF2) -> tuple[np.ndarray, ...]:
@@ -269,9 +303,16 @@ class QuadraticPhase:
     def _tables(self) -> tuple[np.ndarray, ...]:
         return chunk_tables(self.M)
 
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _values(self) -> np.ndarray | None:
+        return value_table(self._kernel, self.n)
+
+    def _kernel(self, xs: np.ndarray) -> np.ndarray:
         bits = quadratic_form_bits(xs, self._tables, self.alpha)
         return sign_many(bits ^ np.uint8(self.c))
+
+    def eval_many(self, xs: np.ndarray) -> np.ndarray:
+        return lookup(self._values, self._kernel, xs)
 
     def truth_table(self) -> TruthTable:
         xs = np.arange(1 << self.n, dtype=np.uint64)
@@ -333,7 +374,14 @@ class QuadraticAverage:
     def _tables(self) -> tuple[np.ndarray, ...]:
         return chunk_tables(self.A)
 
+    @cached_property
+    def _values(self) -> np.ndarray | None:
+        return value_table(self._kernel, self.n)
+
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
+        return lookup(self._values, self._kernel, xs)
+
+    def _kernel(self, xs: np.ndarray) -> np.ndarray:
         xs = xs & np.uint64((1 << self.n) - 1)
         reps = self.W.canonical_rep_many(xs)
         quad = quadratic_form_bits(xs, self._tables, 0)

@@ -461,10 +461,13 @@ def find_quadratic_average(f: FunctionOracle, epsilon: float, delta: float,
     start_queries = f.query_count
 
     if profile == "paper":
+        theta, _, m_model = paper_model_scales(epsilon)
+        if theta == 0.0:  # m_attempts below divides by theta
+            raise ValueError(f"paper profile: the model density theta "
+                             f"underflows to 0 at epsilon={epsilon:g}")
         u_hat = estimate_u3(f, epsilon / 4.0, delta / 4.0, rng)
         if u_hat < 3.0 * epsilon / 4.0:
             return None
-        theta, _, m_model = paper_model_scales(epsilon)
         sigma = epsilon ** 2  # nominal poly(eps) scale; exponent is a knob
         tau = knobs.get("tau_accept_paper", sigma * sigma / 20.0)
         m_attempts = math.ceil((4.0 / epsilon ** 16) ** 4 / theta

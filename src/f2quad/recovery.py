@@ -91,7 +91,8 @@ def find_linear_map(sampler: PhiSampler, params: BsgParams, delta: float, rng, *
     Paper-profile sizing: t = 4n^2 + log2(10/delta) accepted points out
     of K = 100 t / rho draws, aborting below t.  The practical profile
     samples adaptively: stop once the accepted span's rank has stalled
-    past t_min acceptances, abort when a warm-up window accepts nothing,
+    past t_min acceptances (below rank n only if some draw was
+    rejected), abort when a warm-up window accepts nothing,
     cap the total draws.  None signals a bad draw of phi, u or the
     thresholds; the driver retries.
     """
@@ -133,7 +134,12 @@ def find_linear_map(sampler: PhiSampler, params: BsgParams, delta: float, rng, *
                 stalled = 0
             else:
                 stalled += 1
-            if accepted >= t_req and stalled >= stall:
+            # a harvest that rejected no draw has no evidence that phi is
+            # linear only on a proper subset: a span below rank n there
+            # means `stall` uniform draws in a row fell in one hyperplane
+            # (chance 2^-stall), and stopping would invent the missing column
+            if accepted >= t_req and stalled >= stall and \
+                    (span.rank >= n or accepted < sampled):
                 break
         if sampled == warmup and accepted == 0:
             return None

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, determinism."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -125,6 +126,23 @@ def test_decompose_json(tmp_path, capsys):
     assert payload["k"] == len(payload["terms"]) <= 4
 
 
+@pytest.mark.parametrize("plant, mode, digest", [
+    (["quad", "--epsilon", "0.3", "--seed", "4"], "phases",
+     "bb1a5ec5575d89fab344aa3da09b4fcf17309215f040a7e0a90059f2c7afd75a"),
+    (["avg", "--codim", "2", "--epsilon", "0.4", "--seed", "5"], "averages",
+     "68a0b6ea7383f3e9c390e3d16261098de6e9921e834e3d6dce2e3891ec64066d"),
+], ids=["phases", "averages"])
+def test_decompose_seeded_output_pinned(tmp_path, capsys, plant, mode, digest):
+    # pinned before the value tables of the quadratic objects and the
+    # rounding draw: serving them from tables moves no query or draw
+    tab = tmp_path / "t.txt"
+    run(capsys, "gen", "--n", "6", "--plant", *plant, "--out", str(tab))
+    code, out = run(capsys, "decompose", "--in", str(tab), "--seed", "3",
+                    "--mode", mode)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_passes(capsys):
     code, out = run(capsys, "verify", "--seed", "2")
     assert code == EXIT_OK
@@ -172,6 +190,37 @@ def test_gen_avg_codim_out_of_range_is_input_error(tmp_path, capsys, codim):
     assert code == EXIT_INPUT
     assert "codim must lie in [0, n]" in capsys.readouterr().err
     assert not tab.exists()
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (["--epsilon", "abc"], "invalid float value: 'abc'"),
+    (["--epsilon", "0.5", "--bogus"], "unrecognized arguments: --bogus"),
+    (["--epsilon", "0.5", "--m-attempts", "0"], "--m-attempts must be at least 1"),
+])
+def test_usage_errors_are_input_errors(tmp_path, capsys, argv, msg):
+    # exit 2 means bottom, so a usage error must not exit with it
+    tab = tmp_path / "t.txt"
+    run(capsys, "gen", "--n", "4", "--plant", "quad", "--out", str(tab))
+    code = main(["find-quad", "--in", str(tab), *argv])
+    assert code == EXIT_INPUT
+    assert msg in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (["gl", "--gamma", "0.06"], "at or above 2^24"),
+    (["find-quad", "--epsilon", "0.5", "--profile", "paper"], "at or above 2^24"),
+    (["find-avg", "--epsilon", "0.5", "--profile", "paper"], "theta underflows"),
+])
+def test_unrunnable_sample_counts_are_input_errors(tmp_path, capsys, argv, msg):
+    # default Hoeffding counts past 2^24 samples (gl: 35M per level at
+    # n=8; paper find-quad: about 3e27) and a model density that
+    # underflows to 0 (paper find-avg) are refused before any sampling
+    tab = tmp_path / "t.txt"
+    run(capsys, "gen", "--n", "8", "--plant", "quad", "--seed", "1",
+        "--out", str(tab))
+    code = main([argv[0], "--in", str(tab), *argv[1:]])
+    assert code == EXIT_INPUT
+    assert msg in capsys.readouterr().err
 
 
 def test_paper_profile_rejects_overrides(tmp_path, capsys):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from f2quad.functions import (QuadraticAverage, TableOracle, TruthTable,
-                              coherent_quadratic_average, correlation_exact,
-                              estimate_correlation, make_noisy_codeword,
+from f2quad.functions import (MAX_TABLE_N, QuadraticAverage, TableOracle,
+                              TruthTable, coherent_quadratic_average,
+                              correlation_exact, estimate_correlation,
+                              make_noisy_codeword, rand_points,
                               random_boolean_table, random_quadratic_phase)
 from f2quad.fourier import exact_u3
 from f2quad.decompose import (Decomposition, boolean_round_oracle, decompose,
@@ -55,6 +56,35 @@ def test_rounding_extremes_and_consistency():
         assert np.array_equal(g.query_many(xs), v1)
     one_point = np.full(100, 37, dtype=np.uint64)
     assert len(set(g.query_many(one_point))) == 1
+
+
+def splitmix_uniform(xs, seed):
+    """The rounding draw written out: splitmix64 of x keyed by the seed,
+    as a float in [0, 1)."""
+    out = []
+    for x in xs:
+        z = ((int(x) * 0x9E3779B97F4A7C15) % (1 << 64)) ^ seed
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % (1 << 64)
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % (1 << 64)
+        out.append(float(np.uint64(z ^ (z >> 31))) / float(1 << 64))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [1, 5, 16, 17])
+def test_rounding_draw_table_matches_hash(n):
+    rng = np.random.default_rng(40 + n)
+    f = boolean_round_oracle(TableOracle(np.zeros(1 << n), n, 2.0), 2.0,
+                             seed=(1 << 62) + n)
+    xs = np.concatenate((np.array([0, (1 << n) - 1], dtype=np.uint64),
+                         rand_points(rng, n, 200)))
+    got = f._uniform(xs)
+    assert (f._draws is None) == (n > MAX_TABLE_N)
+    assert np.array_equal(got, f._hash_uniform(xs))
+    assert np.array_equal(got, splitmix_uniform(xs, (1 << 62) + n))
+    # the draw reads the low n bits only
+    stray = xs | (rng.integers(1, 1 << (64 - n), size=xs.size,
+                               dtype=np.uint64) << np.uint64(n))
+    assert np.array_equal(f._uniform(stray), got)
 
 
 def test_rounding_zero_mean():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from f2quad.gf2 import MatF2, SubspaceF2, dot
-from f2quad.functions import (DerivativeOracle, QuadraticAverage,
-                              QuadraticPhase, TableOracle, TruthTable,
-                              coherent_quadratic_average, correlation_exact,
+from f2quad.functions import (MAX_TABLE_N, DerivativeOracle,
+                              QuadraticAverage, QuadraticPhase, TableOracle,
+                              TruthTable, coherent_quadratic_average,
+                              correlation_exact,
                               derivative, estimate_correlation,
                               eval_quadratic_phase, hoeffding_samples,
                               make_noisy_codeword, make_noisy_codeword_exact,
@@ -67,10 +68,10 @@ def test_canonicalization_folds_diagonal():
     assert q2.M == q.M
 
 
-@pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 63])
+@pytest.mark.parametrize("n", [1, 4, 7, 8, 9, 16, 17, 63])
 def test_eval_many_matches_scalar_eval(n):
     # chunk boundaries at 8 and 16, a one-column last chunk at 9 and 17,
-    # and the widest oracle dimension
+    # the widest oracle dimension, and value tables up to MAX_TABLE_N = 16
     rng = np.random.default_rng(300 + n)
     full = (1 << n) - 1
     pts = [0, full] + [int(v) for v in rand_points(rng, n, 60)]
@@ -85,9 +86,14 @@ def test_eval_many_matches_scalar_eval(n):
         # bits at or above n are ignored
         assert np.array_equal(got, q.eval_many(xs & np.uint64(full)))
         Q = random_quadratic_average(n, min(2, n), rng)
-        got = Q.eval_many(xs)
-        assert list(got) == [Q.eval(int(x)) for x in xs]
-        assert np.array_equal(got, Q.eval_many(xs & np.uint64(full)))
+        got_avg = Q.eval_many(xs)
+        assert list(got_avg) == [Q.eval(int(x)) for x in xs]
+        assert np.array_equal(got_avg, Q.eval_many(xs & np.uint64(full)))
+        # the value table holds the kernel's outputs, and exists only
+        # up to MAX_TABLE_N
+        for obj, vals in ((q, got), (Q, got_avg)):
+            assert (obj._values is None) == (n > MAX_TABLE_N)
+            assert np.array_equal(vals, obj._kernel(xs))
 
 
 def test_eval_many_tables_leave_equality_alone():
@@ -234,6 +240,16 @@ def test_oracle_replay_determinism():
     f = random_boolean_table(10, rng).as_oracle()
     xs = np.arange(1 << 10, dtype=np.uint64)
     assert np.array_equal(f.query_many(xs), f.query_many(xs))
+
+
+@pytest.mark.parametrize("x", [1 << 6, 1 << 63, (1 << 64) - 1])
+def test_table_oracle_rejects_points_at_or_above_2n(x):
+    f = TableOracle(np.arange(64, dtype=np.float64), 6)
+    assert list(f.query_many([0, 63])) == [0.0, 63.0]
+    with pytest.raises(IndexError):
+        f.query_many(np.array([5, x], dtype=np.uint64))
+    with pytest.raises(IndexError):
+        f(x)
 
 
 def test_coherent_average_structure():

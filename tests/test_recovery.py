@@ -1,5 +1,7 @@
 """Global quadratic-phase recovery pipeline."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -200,3 +202,16 @@ def test_validation_threshold_is_respected():
     res = find_quadratic(q.truth_table().as_oracle(), 0.5, 0.05, rng,
                          tau_accept=0.9)
     assert res is None or res.correlation_estimate >= 0.9
+
+
+def test_all_accepted_harvest_does_not_stop_below_rank_n():
+    # fq-callable-n7 instance (702, 35): every draw of the harvest is
+    # accepted, and eight in a row land in one hyperplane at rank 6 of 7;
+    # stopping there completed the basis with an invented column and
+    # returned a phase off by a rank-2 form (exact correlation 0.5)
+    ss = np.random.SeedSequence(702, spawn_key=(zlib.crc32(b"fq-callable-n7"), 35))
+    plant, solve = ss.spawn(2)
+    q = random_quadratic_phase(7, np.random.default_rng(plant))
+    res = find_quadratic(q.as_oracle(), 0.5, 0.05, np.random.default_rng(solve),
+                         tau_accept=0.05)
+    assert res is not None and res.phase == q
