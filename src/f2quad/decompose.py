@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .functions import (FunctionOracle, estimate_correlation,
-                        hoeffding_samples, lookup, rand_points, value_table)
+                        ValueTable, hoeffding_samples, rand_points)
 from .fourier import estimate_u3, u3_power_gate
 from .bsg import DiagnosticsLog
 from .recovery import find_quadratic
@@ -64,8 +64,9 @@ class RoundedBooleanOracle(FunctionOracle):
     f~(x) is +1 with probability (1 + f(x)/B)/2, decided by a keyed
     pseudorandom draw per (seed, x) rather than a memo, so repeated
     queries are consistent without unbounded storage.  The draw reads
-    the low n bits of x; at n <= MAX_TABLE_N the draws of all 2^n points
-    are hashed once into a value table and gathered from there.
+    the low n bits of x; once 2^n points have been drawn (at n <=
+    MAX_TABLE_N) the draws of all 2^n points are hashed once into a
+    ``ValueTable`` and gathered from there.
     """
 
     def __init__(self, base: FunctionOracle, bound: float, seed: int):
@@ -75,11 +76,11 @@ class RoundedBooleanOracle(FunctionOracle):
         self.seed = np.uint64(seed & ((1 << 64) - 1))
 
     @cached_property
-    def _draws(self) -> np.ndarray | None:
-        return value_table(self._hash_uniform, self.n)
+    def _draws(self) -> ValueTable:
+        return ValueTable(self.n)
 
     def _uniform(self, xs: np.ndarray) -> np.ndarray:
-        return lookup(self._draws, self._hash_uniform, xs)
+        return self._draws(self._hash_uniform, xs)
 
     def _hash_uniform(self, xs: np.ndarray) -> np.ndarray:
         xs = xs & np.uint64((1 << self.n) - 1)

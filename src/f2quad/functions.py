@@ -17,13 +17,17 @@ on first evaluation and keeps them in its instance dict, outside the
 dataclass fields, so equality and hashing are unaffected.  The form
 ignores bits of x at or above n.
 
-At n <= MAX_TABLE_N (16) a quadratic object, and the rounding oracle of
-the decomposition loop, also keep a value table: the kernel's own
-outputs at all 2^n points, 8 * 2^n bytes (at most 512 KB), built on
-first evaluation.  ``eval_many`` then answers with one gather on the low
-n bits of each point, so its values are those of the kernel bit for
-bit.  Above n = 16 the kernel answers every call, and it stays the
-reference the tests compare the tables against.
+A quadratic object, and the rounding oracle of the decomposition loop,
+also keep a ``ValueTable``: once the points they have been asked for
+reach 2^n in total, and if n <= MAX_TABLE_N (16), the kernel fills a
+table of its own outputs at all 2^n points, 8 * 2^n bytes (at most
+512 KB), and every later call is one gather on the low n bits of each
+point, so the values are those of the kernel bit for bit.  Building
+only then bounds the kernel work of an object by twice the points it is
+asked for, and an object asked for fewer than 2^n points (a one-off
+validation at n = 15 or 16, say) never builds one.  Above n = 16 the
+kernel answers every call, and it stays the reference the tests compare
+the tables against.
 
 A ``TableOracle`` answers the points 0 .. 2^n - 1 and raises IndexError
 for every point at or above 2^n.
@@ -211,19 +215,23 @@ def estimate_correlation(f: FunctionOracle, g: FunctionOracle, gamma: float,
 
 # -- value tables --------------------------------------------------------------
 
-def value_table(kernel, n: int) -> np.ndarray | None:
-    """kernel(x) at every point of F_2^n, or None above MAX_TABLE_N."""
-    if n > MAX_TABLE_N:
-        return None
-    return kernel(np.arange(1 << n, dtype=np.uint64))
+class ValueTable:
+    """The values of a kernel that reads only the low n bits of a point,
+    served from a table of all 2^n of them once the points asked for
+    reach 2^n (and n <= MAX_TABLE_N); the kernel answers until then."""
 
+    def __init__(self, n: int):
+        self.n = n
+        self.values: np.ndarray | None = None
+        self._asked = 0
 
-def lookup(table: np.ndarray | None, kernel, xs: np.ndarray) -> np.ndarray:
-    """kernel(xs) for a kernel that reads only the low n bits of a point:
-    one gather from its ``value_table``, or the kernel when there is none."""
-    if table is None:
-        return kernel(xs)
-    return table[(xs & np.uint64(len(table) - 1)).view(np.int64)]
+    def __call__(self, kernel, xs: np.ndarray) -> np.ndarray:
+        if self.values is None:
+            self._asked += xs.size
+            if self.n > MAX_TABLE_N or self._asked < 1 << self.n:
+                return kernel(xs)
+            self.values = kernel(np.arange(1 << self.n, dtype=np.uint64))
+        return self.values[(xs & np.uint64(len(self.values) - 1)).view(np.int64)]
 
 
 # -- quadratic phases ----------------------------------------------------------
@@ -304,15 +312,15 @@ class QuadraticPhase:
         return chunk_tables(self.M)
 
     @cached_property
-    def _values(self) -> np.ndarray | None:
-        return value_table(self._kernel, self.n)
+    def _table(self) -> ValueTable:
+        return ValueTable(self.n)
 
     def _kernel(self, xs: np.ndarray) -> np.ndarray:
         bits = quadratic_form_bits(xs, self._tables, self.alpha)
         return sign_many(bits ^ np.uint8(self.c))
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        return lookup(self._values, self._kernel, xs)
+        return self._table(self._kernel, xs)
 
     def truth_table(self) -> TruthTable:
         xs = np.arange(1 << self.n, dtype=np.uint64)
@@ -375,11 +383,11 @@ class QuadraticAverage:
         return chunk_tables(self.A)
 
     @cached_property
-    def _values(self) -> np.ndarray | None:
-        return value_table(self._kernel, self.n)
+    def _table(self) -> ValueTable:
+        return ValueTable(self.n)
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        return lookup(self._values, self._kernel, xs)
+        return self._table(self._kernel, xs)
 
     def _kernel(self, xs: np.ndarray) -> np.ndarray:
         xs = xs & np.uint64((1 << self.n) - 1)

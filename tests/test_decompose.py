@@ -78,9 +78,13 @@ def test_rounding_draw_table_matches_hash(n):
     xs = np.concatenate((np.array([0, (1 << n) - 1], dtype=np.uint64),
                          rand_points(rng, n, 200)))
     got = f._uniform(xs)
-    assert (f._draws is None) == (n > MAX_TABLE_N)
     assert np.array_equal(got, f._hash_uniform(xs))
     assert np.array_equal(got, splitmix_uniform(xs, (1 << 62) + n))
+    # once 2^n points have been drawn (up to MAX_TABLE_N) the table answers
+    assert (f._draws.values is None) == (n > MAX_TABLE_N or xs.size < 1 << n)
+    f._uniform(np.arange(1 << n, dtype=np.uint64))
+    assert (f._draws.values is None) == (n > MAX_TABLE_N)
+    assert np.array_equal(f._uniform(xs), got)
     # the draw reads the low n bits only
     stray = xs | (rng.integers(1, 1 << (64 - n), size=xs.size,
                                dtype=np.uint64) << np.uint64(n))

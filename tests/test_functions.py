@@ -6,7 +6,8 @@ import pytest
 from f2quad.gf2 import MatF2, SubspaceF2, dot
 from f2quad.functions import (MAX_TABLE_N, DerivativeOracle,
                               QuadraticAverage, QuadraticPhase, TableOracle,
-                              TruthTable, coherent_quadratic_average,
+                              TruthTable, ValueTable,
+                              coherent_quadratic_average,
                               correlation_exact,
                               derivative, estimate_correlation,
                               eval_quadratic_phase, hoeffding_samples,
@@ -89,11 +90,40 @@ def test_eval_many_matches_scalar_eval(n):
         got_avg = Q.eval_many(xs)
         assert list(got_avg) == [Q.eval(int(x)) for x in xs]
         assert np.array_equal(got_avg, Q.eval_many(xs & np.uint64(full)))
-        # the value table holds the kernel's outputs, and exists only
-        # up to MAX_TABLE_N
+        # each object has been asked for 2 * xs.size points: the kernel
+        # answers below 2^n, and once they reach 2^n (up to MAX_TABLE_N)
+        # a table of the kernel's outputs does
         for obj, vals in ((q, got), (Q, got_avg)):
-            assert (obj._values is None) == (n > MAX_TABLE_N)
             assert np.array_equal(vals, obj._kernel(xs))
+            table = obj._table
+            assert (table.values is None) == \
+                (n > MAX_TABLE_N or 2 * xs.size < 1 << n)
+            if n <= MAX_TABLE_N + 1:
+                obj.eval_many(np.arange(1 << n, dtype=np.uint64))
+                assert (table.values is None) == (n > MAX_TABLE_N)
+                assert np.array_equal(obj.eval_many(xs), vals)
+
+
+def test_value_table_built_when_points_asked_reach_2n():
+    # the kernel's work stays below twice the points asked for: it answers
+    # the first 2^n - 1 points, fills the table on the call that reaches
+    # 2^n, and is never called again
+    sizes = []
+
+    def kernel(xs):
+        sizes.append(xs.size)
+        return (xs & np.uint64(31)).astype(np.float64)
+
+    table = ValueTable(5)
+    for size in (10, 21):
+        table(kernel, np.arange(size, dtype=np.uint64))
+    assert table.values is None and sizes == [10, 21]
+    stray = np.array([(1 << 40) | 3, (1 << 63) | 31], dtype=np.uint64)
+    assert list(table(kernel, stray)) == [3.0, 31.0]
+    assert sizes == [10, 21, 32]
+    assert np.array_equal(table(kernel, np.arange(1000, dtype=np.uint64)),
+                          np.arange(1000) % 32)
+    assert sizes == [10, 21, 32]
 
 
 def test_eval_many_tables_leave_equality_alone():
