@@ -13,6 +13,7 @@ import numpy as np
 
 from .gf2 import MatF2, SubspaceF2, parity_many, sign_many
 from .functions import QuadraticPhase, TruthTable
+from .fourier import fwht
 
 BEST_QUADRATIC_MAX_N = 6
 CONVOLUTION_MAX_N = 16
@@ -66,23 +67,6 @@ class SetF2:
         return f"SetF2(n={self.n}, size={self.size})"
 
 
-def _fwht_raw(values: np.ndarray) -> np.ndarray:
-    """Unnormalized butterfly preserving the input dtype (int64 or
-    object), so integer inputs stay integer-exact."""
-    a = np.array(values, copy=True)
-    m = len(a)
-    h = 1
-    while h < m:
-        a = a.reshape(-1, 2, h)
-        lo = a[:, 0, :].copy()
-        hi = a[:, 1, :]
-        a[:, 0, :] = lo + hi
-        a[:, 1, :] = lo - hi
-        a = a.reshape(m)
-        h <<= 1
-    return a
-
-
 def _indicator_ints(h: TruthTable) -> np.ndarray:
     flags = np.rint(h.values).astype(np.int64)
     if not np.all((flags == 0) | (flags == 1)) or \
@@ -103,12 +87,12 @@ def convolution_power(h: TruthTable, k: int) -> TruthTable:
     if k not in (2, 4):
         raise ValueError("k must be 2 or 4")
     m = 1 << h.n
-    raw = _fwht_raw(_indicator_ints(h))
+    raw = fwht(_indicator_ints(h))
     if (k + 1) * h.n <= 62:
         powered = raw ** k
     else:
         powered = raw.astype(object) ** k
-    counts = _fwht_raw(powered)  # m * count_k(x), integer-exact
+    counts = fwht(powered)  # m * count_k(x), integer-exact
     vals = np.array([int(c) // m for c in counts], dtype=np.float64)
     return TruthTable(vals / float(m) ** (k - 1), h.n)
 
@@ -131,10 +115,10 @@ def sumset(A: SetF2, k: int) -> SetF2:
     if A.n > CONVOLUTION_MAX_N or not 1 <= k <= 16:
         raise ValueError("sumset supports n <= 16 and k <= 16")
     m = 1 << A.n
-    base = _fwht_raw(A.flags.astype(np.int64))
+    base = fwht(A.flags.astype(np.int64))
     cur = A.flags.astype(np.int64)
     for _ in range(k - 1):
-        counts = _fwht_raw(_fwht_raw(cur) * base)  # m * pair counts
+        counts = fwht(fwht(cur) * base)  # m * pair counts
         cur = (counts > 0).astype(np.int64)
     return SetF2(cur.astype(bool), A.n)
 
@@ -148,8 +132,8 @@ def count_additive_quadruples(A: SetF2) -> int:
     """
     if A.n > QUADRUPLE_MAX_N:
         raise ValueError(f"refusing n > {QUADRUPLE_MAX_N}")
-    raw = _fwht_raw(A.flags.astype(np.int64))
-    r = _fwht_raw(raw * raw) >> A.n  # integer-exact: divisible by 2^n
+    raw = fwht(A.flags.astype(np.int64))
+    r = fwht(raw * raw) >> A.n  # integer-exact: divisible by 2^n
     return int(np.sum(r.astype(object) ** 2))
 
 
@@ -179,17 +163,7 @@ def best_quadratic_correlation(f: TruthTable) -> tuple[QuadraticPhase, float]:
         sel = ((codes[:, None] >> np.arange(npairs)[None, :]) & 1)
         forms = (sel @ pair_par) & 1  # quadratic-form bits, chunk x m
         tables = f.values[None, :] * (1.0 - 2.0 * forms)
-        # batched transform along the last axis
-        a = tables
-        hh = 1
-        while hh < m:
-            a = a.reshape(len(codes), -1, 2, hh)
-            lo = a[:, :, 0, :].copy()
-            hi = a[:, :, 1, :]
-            a[:, :, 0, :] = lo + hi
-            a[:, :, 1, :] = lo - hi
-            hh <<= 1
-        spec = a.reshape(len(codes), m) / m
+        spec = fwht(tables) / m
         flat = np.abs(spec)
         local = np.unravel_index(np.argmax(flat), flat.shape)
         v = float(flat[local])

@@ -49,13 +49,19 @@ class ResidualOracle(FunctionOracle):
         self.terms = list(terms)
 
     def raw_many(self, xs: np.ndarray) -> np.ndarray:
-        vals = self.g.query_many(xs).copy()
-        for coeff, obj in self.terms:
+        """h(x) in a fresh array (the root's values are never written)."""
+        vals = self.g.query_many(xs)
+        if not self.terms:
+            return vals.copy()
+        (coeff, obj), *rest = self.terms
+        vals = vals - coeff * obj.eval_many(xs)
+        for coeff, obj in rest:
             vals -= coeff * obj.eval_many(xs)
         return vals
 
     def _evaluate(self, xs):
-        return np.clip(self.raw_many(xs), -self.bound, self.bound)
+        vals = self.raw_many(xs)
+        return np.clip(vals, -self.bound, self.bound, out=vals)
 
 
 class RoundedBooleanOracle(FunctionOracle):
@@ -93,9 +99,13 @@ class RoundedBooleanOracle(FunctionOracle):
 
     def _evaluate(self, xs):
         vals = self.base.query_many(xs)
-        if np.any(np.abs(vals) > self.round_bound + 1e-12):
-            raise ValueError("base oracle exceeds the stated bound")
-        p_plus = (1.0 + vals / self.round_bound) / 2.0
+        lim = self.round_bound + 1e-12
+        if vals.size and not (vals.min() >= -lim and vals.max() <= lim):
+            raise ValueError("base oracle exceeds the stated bound or "
+                             "returned NaN")
+        p_plus = vals / self.round_bound
+        p_plus += 1.0
+        p_plus /= 2.0
         return np.where(self._uniform(xs) < p_plus, 1.0, -1.0)
 
 

@@ -13,6 +13,11 @@ set of masks (`_signed_means`); the sampled words lie below 2^level
 as words the samples are first summed per word and the parity matrix
 spans the words, not the samples.
 
+The U^3 estimator draws its parallelepipeds 2^20 at a time, into four
+uint64 arrays plus one float64 product array (about 40 MB), and
+evaluates them in blocks of 2^12, one oracle call per block.  Like
+``query_product``, it assumes a pointwise oracle.
+
 Conventions: f_hat(alpha) = E_x f(x) (-1)^(<alpha, x>); the butterfly
 is unnormalized, so applying it twice yields 2^n f.  Exact-arithmetic
 comparisons should use absolute tolerance 1e-9 (exact routines only
@@ -32,12 +37,21 @@ from .functions import (FunctionOracle, TruthTable, hoeffding_samples,
 
 EXACT_TOL = 1e-9
 U3_EXACT_MAX_N = 14
+U3_DRAW_CHUNK = 1 << 20  # parallelepipeds per draw; part of the rng stream
+U3_BLOCK = 1 << 12  # parallelepipeds per oracle call: 8 x 32 KB of points
 LinearTermList = list  # [(alpha, coeff)], alphas distinct
+_EXACT_DTYPES = (np.dtype(np.int64), np.dtype(object))
 
 
 def fwht(values: np.ndarray) -> np.ndarray:
-    """Unnormalized in-place butterfly along the last axis; O(n 2^n)."""
-    a = np.array(values, dtype=np.float64, copy=True)
+    """Unnormalized butterfly along the last axis, on a copy; O(n 2^n).
+
+    int64 and object (Python int) inputs keep their dtype, so integer
+    transforms stay exact; every other input is computed in float64.
+    """
+    a = np.asarray(values)
+    a = np.array(a, dtype=a.dtype if a.dtype in _EXACT_DTYPES else np.float64,
+                 copy=True)
     m = a.shape[-1]
     if m & (m - 1):
         raise ValueError("length must be a power of two")
@@ -137,28 +151,45 @@ def u3_sample_count(gamma: float, delta: float, norm_floor: float = 0.45) -> int
     return hoeffding_samples(min(gamma8, 0.999), delta)
 
 
-def u3_power_mean(f: FunctionOracle, t: int, rng, chunk: int = 1 << 20) -> float:
+def u3_power_mean(f: FunctionOracle, t: int, rng) -> float:
     """Mean of t products of f over random 3-dimensional parallelepipeds
-    {x + w . h : w in {0,1}^3}; 8t queries."""
+    {x + w . h : w in {0,1}^3}; 8t queries of a pointwise oracle.
+
+    The parallelepipeds are drawn U3_DRAW_CHUNK at a time (x, h1, h2, h3
+    in that order, which fixes the rng stream) and evaluated U3_BLOCK at
+    a time: the 8 corner sets of a block go to the oracle in one call on
+    an (8, m) array, and the corner values are multiplied into the
+    chunk's product array in the order w = 0..7, so the mean is the same
+    float whatever the block size.  Raises ValueError when a chunk's
+    products sum to NaN.
+    """
+    if t < 1:
+        raise ValueError(f"U^3 sample count must be at least 1, got {t}")
     total = 0.0
     done = 0
     while done < t:
-        b = min(chunk, t - done)
+        b = min(U3_DRAW_CHUNK, t - done)
         x = rand_points(rng, f.n, b)
         h1 = rand_points(rng, f.n, b)
         h2 = rand_points(rng, f.n, b)
         h3 = rand_points(rng, f.n, b)
-        prod = np.ones(b, dtype=np.float64)
-        for w in range(8):
-            pt = x.copy()
-            if w & 1:
-                pt ^= h1
-            if w & 2:
-                pt ^= h2
-            if w & 4:
-                pt ^= h3
-            prod *= f.query_many(pt)
-        total += float(np.sum(prod))
+        prod = np.empty(b, dtype=np.float64)
+        for lo in range(0, b, U3_BLOCK):
+            hi = min(lo + U3_BLOCK, b)
+            pts = np.empty((2, 2, 2, hi - lo), dtype=np.uint64)  # [w2, w1, w0]
+            pts[...] = x[lo:hi]
+            pts[:, :, 1] ^= h1[lo:hi]
+            pts[:, 1] ^= h2[lo:hi]
+            pts[1] ^= h3[lo:hi]
+            vals = f.query_many(pts.reshape(-1)).reshape(8, -1)
+            p = prod[lo:hi]
+            p[...] = vals[0]
+            for w in range(1, 8):
+                p *= vals[w]
+        s = float(np.sum(prod))
+        if math.isnan(s):
+            raise ValueError("the oracle returned NaN on a U^3 sample")
+        total += s
         done += b
     return total / t
 
@@ -185,6 +216,9 @@ def u3_power_gate(f: FunctionOracle, threshold_norm: float, rng, *,
     outright.  Resolving the eighth power rather than the norm is what
     makes the reject side of the gate meaningful for desk dimensions.
     """
+    if t_start < 1 or t_cap < 1:
+        raise ValueError(f"U^3 gate sample counts must be at least 1, got "
+                         f"t_start={t_start}, t_cap={t_cap}")
     tau8 = threshold_norm ** 8
     total = 0.0
     t_done = 0

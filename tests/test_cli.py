@@ -46,6 +46,16 @@ def test_u3_exact_on_codeword(tmp_path, capsys):
     assert float(out.strip()) == 1.0
 
 
+def test_u3_sampled_output_pinned(tmp_path, capsys):
+    # 3,302,398 parallelepipeds: four draw chunks, the last one partial
+    tab = tmp_path / "t.txt"
+    run(capsys, "gen", "--n", "10", "--seed", "3", "--epsilon", "0.3",
+        "--out", str(tab))
+    code, out = run(capsys, "u3", "--in", str(tab), "--seed", "7")
+    assert code == EXIT_OK
+    assert out == "0.6079090719714701\n"
+
+
 def test_find_quad_random_table_bottom(tmp_path, capsys):
     tab = tmp_path / "r.txt"
     run(capsys, "gen", "--n", "10", "--plant", "random", "--seed", "5",

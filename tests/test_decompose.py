@@ -108,6 +108,29 @@ def test_rounding_bound_check():
         f.query_many(np.arange(4, dtype=np.uint64))
 
 
+def test_rounding_rejects_nan():
+    n = 6
+    vals = np.zeros(1 << n)
+    vals[9] = np.nan
+    f = boolean_round_oracle(TableOracle(vals, n, bound=2.0), 2.0, seed=1)
+    with pytest.raises(ValueError, match="NaN"):
+        f.query_many(np.arange(1 << n, dtype=np.uint64))
+
+
+def test_decompose_full_rejects_nan_input():
+    # a NaN entry is an input error at the first gate stage, not a gate
+    # reject after tens of millions of queries
+    n = 4
+    rng = np.random.default_rng(21)
+    vals = 0.5 * (random_quadratic_phase(n, rng).truth_table().values
+                  + random_quadratic_phase(n, rng).truth_table().values)
+    vals[5] = np.nan
+    g = TableOracle(vals, n)
+    with pytest.raises(ValueError, match="NaN"):
+        decompose_full(g, 0.3, 2.0, 0.05, np.random.default_rng(22))
+    assert g.query_count <= 1 << 18
+
+
 def test_rounding_expectation_tracks_base():
     n = 12
     rng = np.random.default_rng(2)

@@ -5,11 +5,14 @@ import pytest
 
 from f2quad.gf2 import SubspaceF2, dot, dot_many, sign_many
 from f2quad.functions import (TableOracle, TruthTable, planted_sign_mixture,
-                              random_boolean_table, random_quadratic_phase)
+                              rand_points, random_boolean_table,
+                              random_quadratic_phase)
 from f2quad.fourier import (_signed_means, estimate_u3, exact_u2, exact_u3,
                             exact_u_norm, fwht, goldreich_levin,
                             goldreich_levin_subspace, spectrum_to_table,
-                            u3_power_gate, u3_sample_count, wht)
+                            u3_power_gate, u3_power_mean, u3_sample_count,
+                            wht)
+from f2quad.decompose import ResidualOracle
 from f2quad.bruteforce import u2_direct, u3_direct
 
 
@@ -42,6 +45,17 @@ def test_wht_involution_up_to_scaling():
     assert np.allclose(fwht(fwht(f.values)), (1 << 8) * f.values)
     # and the inverse reconstructs the table
     assert np.allclose(spectrum_to_table(wht(f)).values, f.values)
+
+
+def test_fwht_keeps_exact_dtypes():
+    ints = np.array([3, -1, 4, 1, -5, 9, 2, 6], dtype=np.int64)
+    out = fwht(ints)
+    assert out.dtype == np.int64
+    assert np.array_equal(fwht(out), 8 * ints)
+    big = fwht(ints.astype(object) * (1 << 70))
+    assert big.dtype == object and list(big) == [int(v) << 70 for v in out]
+    assert fwht(ints.astype(np.float32)).dtype == np.float64
+    assert fwht([True, False, True, True]).dtype == np.float64
 
 
 def test_u2_linear_phase_and_u3_quadratic_phase():
@@ -113,6 +127,89 @@ def test_estimate_u3_failure_rate():
         est = estimate_u3(nz.as_oracle(), 0.1, 0.1, rng)
         fails += abs(est - exact_u3(nz)) > 0.1
     assert fails <= 0.2 * 200
+
+
+def per_corner_u3_power_mean(f, t, rng, chunk=1 << 20):
+    """The per-corner loop (one oracle call per corner set of a whole
+    draw chunk), kept as the reference for the blocked sampler."""
+    total = 0.0
+    done = 0
+    while done < t:
+        b = min(chunk, t - done)
+        x = rand_points(rng, f.n, b)
+        h1 = rand_points(rng, f.n, b)
+        h2 = rand_points(rng, f.n, b)
+        h3 = rand_points(rng, f.n, b)
+        prod = np.ones(b, dtype=np.float64)
+        for w in range(8):
+            pt = x.copy()
+            if w & 1:
+                pt ^= h1
+            if w & 2:
+                pt ^= h2
+            if w & 4:
+                pt ^= h3
+            prod *= f.query_many(pt)
+        total += float(np.sum(prod))
+        done += b
+    return total / t
+
+
+def u3_sampler_oracle(kind):
+    """A fresh oracle of the given kind, and the root whose _evaluate
+    sees every point."""
+    n = 10
+    rng = np.random.default_rng(77)
+    if kind == "sign":
+        root = random_boolean_table(n, rng).as_oracle()
+        return root, root
+    vals = rng.uniform(-1.0, 1.0, size=1 << n)
+    root = TableOracle(vals, n)
+    if kind == "real":
+        return root, root
+    terms = [(c, random_quadratic_phase(n, rng)) for c in (0.5, 0.25, 0.5)]
+    return ResidualOracle(root, terms, 1.5), root
+
+
+@pytest.mark.parametrize("t", [1, 7, 4095, 4096, 4097, 3 * 4096 + 5,
+                               (1 << 20) + 5])
+@pytest.mark.parametrize("kind", ["sign", "real", "residual"])
+def test_u3_power_mean_matches_per_corner_reference(t, kind):
+    f_ref, _ = u3_sampler_oracle(kind)
+    f, root = u3_sampler_oracle(kind)
+    rng_ref = np.random.default_rng(t)
+    rng = np.random.default_rng(t)
+    want = per_corner_u3_power_mean(f_ref, t, rng_ref)
+    got = u3_power_mean(f, t, rng)
+    assert got == want  # exact float equality
+    assert f.query_count == 8 * t and root.query_count == 8 * t
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_u3_sampler_rejects_nan():
+    n = 6
+    vals = random_boolean_table(n, np.random.default_rng(3)).values.copy()
+    vals[17] = np.nan
+    orc = TableOracle(vals, n)
+    with pytest.raises(ValueError, match="NaN"):
+        u3_power_mean(orc, 4096, np.random.default_rng(4))
+    with pytest.raises(ValueError, match="NaN"):
+        estimate_u3(orc, 0.1, 0.1, np.random.default_rng(4))
+
+
+def test_u3_sample_counts_must_be_positive():
+    orc = random_boolean_table(6, np.random.default_rng(5)).as_oracle()
+    rng = np.random.default_rng(6)
+    for t in (0, -3):
+        with pytest.raises(ValueError):
+            u3_power_mean(orc, t, rng)
+        with pytest.raises(ValueError):
+            estimate_u3(orc, 0.1, 0.1, rng, samples=t)
+    with pytest.raises(ValueError):
+        u3_power_gate(orc, 0.5, rng, t_start=0)
+    with pytest.raises(ValueError):
+        u3_power_gate(orc, 0.5, rng, t_cap=0)
+    assert orc.query_count == 0
 
 
 def test_power_gate_decisions():
