@@ -19,8 +19,8 @@ from .functions import (FunctionOracle, QuadraticAverage, QuadraticPhase,
 from .fourier import (FourierSpectrum, estimate_u3, exact_u2, exact_u3,
                       exact_u_norm, fwht, goldreich_levin,
                       goldreich_levin_subspace, spectrum_to_table, wht)
-from .bsg import (BsgParams, DiagnosticsLog, PhiSampler, bsg_test,
-                  choose_bsg_params, edge_test)
+from .bsg import (BsgParams, PhiSampler, bsg_test, choose_bsg_params,
+                  edge_test)
 from .recovery import (FindQuadraticResult, LinearChoiceMap, find_linear_map,
                        find_quadratic, integrate, symmetrize)
 from .model import (FindAverageResult, LocalChoiceResult, ModelParams,

@@ -28,20 +28,6 @@ from .functions import (FunctionOracle, hoeffding_samples, query_product,
 from .fourier import goldreich_levin
 
 
-class DiagnosticsLog:
-    """Per-estimator-call log: one line 'op=<name> samples=<t> delta=<d>'."""
-
-    def __init__(self):
-        self.lines: list[str] = []
-
-    def record(self, op: str, samples: int, delta: float):
-        self.lines.append(f"op={op} samples={samples} delta={delta:g}")
-
-    def write(self, path):
-        with open(path, "w") as fh:
-            fh.write("\n".join(self.lines) + ("\n" if self.lines else ""))
-
-
 @dataclass(frozen=True)
 class PhiRecord:
     alpha: int
@@ -60,7 +46,7 @@ class PhiSampler:
 
     def __init__(self, f: FunctionOracle, gamma_gl: float, delta_gl: float,
                  rng, *, t_bucket=None, t_leaf=None, repeats=None,
-                 live_cap=None, diag: DiagnosticsLog | None = None):
+                 live_cap=None):
         self.f = f
         self.n = f.n
         self.gamma_gl = gamma_gl
@@ -70,7 +56,6 @@ class PhiSampler:
                               repeats=repeats, live_cap=live_cap)
         self.memo: dict[int, PhiRecord] = {}
         self.gl_calls = 0
-        self.diag = diag
 
     def record(self, x: int) -> PhiRecord:
         x = int(x)
@@ -79,8 +64,7 @@ class PhiSampler:
             return rec
         from .functions import DerivativeOracle
         terms = goldreich_levin(DerivativeOracle(self.f, x), self.gamma_gl,
-                                self.delta_gl, self.rng, diag=self.diag,
-                                **self.gl_kwargs)
+                                self.delta_gl, self.rng, **self.gl_kwargs)
         self.gl_calls += 1
         u = float(self.rng.random())
         acc = 0.0
@@ -203,8 +187,8 @@ def choose_bsg_params(epsilon: float | None, rng, profile: str = "practical", *,
 
 
 def edge_test(sampler: PhiSampler, u: tuple[int, int], v: tuple[int, int],
-              gamma: float, t_edge: int, rng, *, coeff_cache: dict | None = None,
-              diag: DiagnosticsLog | None = None) -> int:
+              gamma: float, t_edge: int, rng, *,
+              coeff_cache: dict | None = None) -> int:
     """1 iff phi(x) + phi(y) = phi(x+y) and the estimated coefficients
     |f_hat| at x, y and x+y all reach gamma.
 
@@ -222,8 +206,6 @@ def edge_test(sampler: PhiSampler, u: tuple[int, int], v: tuple[int, int],
         if coeff_cache is not None and p in coeff_cache:
             return coeff_cache[p]
         c = abs(estimate_derivative_coefficient(f, p, alpha, t_edge, rng))
-        if diag is not None:
-            diag.record("edge-coeff", t_edge, 0.0)
         if coeff_cache is not None:
             coeff_cache[p] = c
         return c
@@ -241,7 +223,7 @@ def edge_test(sampler: PhiSampler, u: tuple[int, int], v: tuple[int, int],
 
 
 def bsg_test(sampler: PhiSampler, u: tuple[int, int], v: tuple[int, int],
-             params: BsgParams, rng, *, diag: DiagnosticsLog | None = None) -> int:
+             params: BsgParams, rng) -> int:
     """Approximate test of v in T(u) with the sandwich guarantee:
     an answer of 1 places v in the doubling-controlled superset, an
     answer of 0 outside the dense subset (each up to the estimate
@@ -257,7 +239,7 @@ def bsg_test(sampler: PhiSampler, u: tuple[int, int], v: tuple[int, int],
     """
     cache: dict[int, float] = {}
     if edge_test(sampler, u, v, params.gamma1, params.t_edge, rng,
-                 coeff_cache=cache, diag=diag) == 0:
+                 coeff_cache=cache) == 0:
         return 0
     acc = 0.0
     for i in range(params.r):
@@ -270,7 +252,7 @@ def bsg_test(sampler: PhiSampler, u: tuple[int, int], v: tuple[int, int],
         z = int(rng.integers(0, 1 << sampler.n))
         zv = (z, sampler.sample(z))
         x_i = edge_test(sampler, u, zv, params.gamma2, params.t_edge, rng,
-                        coeff_cache=cache, diag=diag)
+                        coeff_cache=cache)
         if x_i == 0:
             continue
         inner = 0.0
@@ -280,11 +262,11 @@ def bsg_test(sampler: PhiSampler, u: tuple[int, int], v: tuple[int, int],
             w = int(rng.integers(0, 1 << sampler.n))
             wv = (w, sampler.sample(w))
             y_ij = edge_test(sampler, v, wv, params.gamma3, params.t_edge, rng,
-                             coeff_cache=cache, diag=diag)
+                             coeff_cache=cache)
             if y_ij == 0:
                 continue
             z_ij = edge_test(sampler, zv, wv, params.gamma3, params.t_edge, rng,
-                             coeff_cache=cache, diag=diag)
+                             coeff_cache=cache)
             inner += y_ij * z_ij
         b_i = 1 if (inner / params.s) <= params.rho1 else 0
         acc += x_i * b_i

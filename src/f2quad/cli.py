@@ -3,8 +3,8 @@
 Subcommands: gen (plant and write a truth table), wht (spectrum dump),
 u3 (exact or estimated norm), gl (linear decomposition report),
 find-quad, find-avg, decompose (JSON outputs), verify (brute-force
-cross-checks), bench (timing table).  All randomness derives from the
-single --seed through a documented scheme (seed, subcommand, attempt
+cross-checks).  Timing lives in the benchmark (perfbench), not here.
+All randomness derives from the single --seed through a documented scheme (seed, subcommand, attempt
 index), so equal invocations produce byte-identical outputs.
 
 Exit codes: 0 success, 1 input error (a usage error included), 2 bottom
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 import zlib
 
 import numpy as np
@@ -124,16 +123,12 @@ def cmd_gl(args) -> int:
     return EXIT_OK
 
 
-def _profile_overrides(args) -> dict:
+def _overrides(args) -> dict:
     out = {}
     for name in ("rho", "t_edge", "r", "s", "tau_accept", "m_attempts"):
-        v = getattr(args, name.replace("-", "_"), None)
+        v = getattr(args, name, None)
         if v is not None:
             out[name] = v
-    if args.profile == "paper":
-        if out:
-            raise SystemExit2("profile overrides only valid in practical mode",
-                              EXIT_INPUT)
     if out.get("m_attempts", 1) < 1:
         raise SystemExit2("--m-attempts must be at least 1", EXIT_INPUT)
     return out
@@ -148,9 +143,8 @@ def _epsilon(args) -> float:
 def cmd_find_quad(args) -> int:
     tt = _load_table(args)
     rng = derive_rng(args.seed, "find-quad", 0)
-    over = _profile_overrides(args)
     res = find_quadratic(tt.as_oracle(), _epsilon(args), args.delta, rng,
-                         profile=args.profile, **over)
+                         **_overrides(args))
     if res is None:
         return EXIT_BOTTOM
     out = serialize.phase_to_dict(res.phase)
@@ -163,9 +157,8 @@ def cmd_find_quad(args) -> int:
 def cmd_find_avg(args) -> int:
     tt = _load_table(args)
     rng = derive_rng(args.seed, "find-avg", 0)
-    over = _profile_overrides(args)
     res = find_quadratic_average(tt.as_oracle(), _epsilon(args), args.delta,
-                                 rng, profile=args.profile, **over)
+                                 rng, **_overrides(args))
     if res is None:
         return EXIT_BOTTOM
     out = serialize.average_to_dict(res.average)
@@ -234,24 +227,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_INPUT
 
 
-def cmd_bench(args) -> int:
-    rng = derive_rng(args.seed, "bench")
-    lines = ["op n seconds"]
-    for n in range(8, min(args.n, 20) + 1, 2):
-        vals = rng.integers(0, 2, size=1 << n).astype(np.float64) * 2 - 1
-        t0 = time.perf_counter()
-        fourier.fwht(vals)
-        lines.append(f"wht {n} {time.perf_counter() - t0:.4f}")
-    for n in (8, 10):
-        q = functions.random_quadratic_phase(n, rng)
-        orc = q.truth_table().as_oracle()
-        t0 = time.perf_counter()
-        find_quadratic(orc, 0.5, 0.1, derive_rng(args.seed, "bench-fq", n))
-        lines.append(f"find-quad {n} {time.perf_counter() - t0:.4f}")
-    _write_out(args, "\n".join(lines) + "\n")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="f2quad",
                 description="quadratic Fourier analysis over F_2^n")
@@ -265,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
         if eps:
             sp.add_argument("--epsilon", type=float, default=None)
             sp.add_argument("--delta", type=float, default=0.05)
-            sp.add_argument("--profile", choices=("paper", "practical"),
-                            default="practical")
             for name in ("rho", "tau-accept"):
                 sp.add_argument(f"--{name}", type=float, default=None,
                                 dest=name.replace("-", "_"))
@@ -323,11 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run brute-force cross-checks")
     common(sp)
     sp.set_defaults(fn=cmd_verify)
-
-    sp = sub.add_parser("bench", help="timing table")
-    common(sp)
-    sp.add_argument("--n", type=int, default=14)
-    sp.set_defaults(fn=cmd_bench)
     return p
 
 

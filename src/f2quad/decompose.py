@@ -29,7 +29,6 @@ import numpy as np
 from .functions import (FunctionOracle, estimate_correlation,
                         ValueTable, hoeffding_samples, rand_points)
 from .fourier import estimate_u3, u3_power_gate
-from .bsg import DiagnosticsLog
 from .recovery import find_quadratic
 from .model import find_quadratic_average
 
@@ -153,8 +152,7 @@ def _check_args(epsilon: float, bound: float, delta: float, eta: float) -> None:
 def decompose(g: FunctionOracle, epsilon: float, bound: float, delta: float,
               finder, rng, *, eta: float = 0.5, k_max: int | None = None,
               coefficient_mode: str = "fixed",
-              gate_cap: int = 1 << 22,
-              diag: DiagnosticsLog | None = None) -> Decomposition:
+              gate_cap: int = 1 << 22) -> Decomposition:
     """Run the truncation loop against an arbitrary finder.
 
     finder(oracle, rng) must return an object with eval_many/as_oracle
@@ -192,8 +190,6 @@ def decompose(g: FunctionOracle, epsilon: float, bound: float, delta: float,
         dec.terms.append((coeff, found))
         tag = " mode=measured(non-standard)" if coefficient_mode == "measured" else ""
         dec.steps_log.append(f"step={step} coeff={coeff:g} est={est:.4f}{tag}")
-        if diag is not None:
-            diag.record("decompose-step", 0, delta / (k_max + 1))
     dec.k = len(dec.terms)
 
     final = dec.residual_oracle()
@@ -222,15 +218,13 @@ def decompose_full(g: FunctionOracle, epsilon: float, bound: float,
                    delta: float, rng, *, mode: str = "phases",
                    eta: float = 0.5, coefficient_mode: str = "fixed",
                    k_max: int | None = None,
-                   diag: DiagnosticsLog | None = None,
                    **finder_knobs) -> Decomposition:
     """End-to-end decomposition: Boolean-round each bounded residual and
     feed it to the quadratic-phase (or quadratic-average) finder with
     the rescaled parameter eps/2B.
 
     The failure budget delta is split uniformly over the at most
-    k_max + 1 finder calls; the split is recorded in the diagnostics
-    log.
+    k_max + 1 finder calls: each call receives delta / (k_max + 1).
     """
     _check_args(epsilon, bound, delta, eta)
     if mode not in ("phases", "averages"):
@@ -240,21 +234,17 @@ def decompose_full(g: FunctionOracle, epsilon: float, bound: float,
     delta_each = delta / (k_max + 1)
     eps_finder = epsilon / (2.0 * bound)
     finder_knobs.setdefault("m_attempts", 12)  # bottoms must be cheap here
-    counter = dict(step=0)
 
     def finder(oracle, rng_):
-        counter["step"] += 1
         seed = int(rng_.integers(0, 1 << 62))
         rounded = boolean_round_oracle(oracle, bound, seed)
-        if diag is not None:
-            diag.record(f"finder-call-{counter['step']}", 0, delta_each)
         if mode == "phases":
             res = find_quadratic(rounded, eps_finder, delta_each, rng_,
-                                 diag=diag, **finder_knobs)
+                                 **finder_knobs)
             return None if res is None else res.phase
         res = find_quadratic_average(rounded, eps_finder, delta_each, rng_,
-                                     diag=diag, **finder_knobs)
+                                     **finder_knobs)
         return None if res is None else res.average
 
     return decompose(g, epsilon, bound, delta, finder, rng, eta=eta,
-                     k_max=k_max, coefficient_mode=coefficient_mode, diag=diag)
+                     k_max=k_max, coefficient_mode=coefficient_mode)

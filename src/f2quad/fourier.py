@@ -306,10 +306,17 @@ def _gl_defaults(n, gamma, delta, bound):
     return live_cap, t_bucket, t_leaf
 
 
+def _reject_nan(est):
+    if np.isnan(est).any():
+        raise ValueError("the oracle returned NaN on a Goldreich-Levin sample")
+
+
 def _gl_tree(query, n, gamma, delta, rng, *, bound=1.0, t_bucket=None,
-             t_leaf=None, repeats=None, live_cap=None, noise_floor_z=0.0,
-             diag=None):
-    """Shared Goldreich-Levin core over an arbitrary query map on F_2^n."""
+             t_leaf=None, repeats=None, live_cap=None, noise_floor_z=0.0):
+    """Shared Goldreich-Levin core over an arbitrary query map on F_2^n.
+
+    A NaN estimate raises ``ValueError``: it would fail every threshold
+    comparison and end the search with a silently empty list."""
     if not (0 < gamma and 0 < delta < 1):
         raise ValueError("gamma must be positive and delta in (0, 1)")
     cap_d, tb_d, tl_d = _gl_defaults(n, min(gamma, 1.0), delta, bound)
@@ -336,8 +343,7 @@ def _gl_tree(query, n, gamma, delta, rng, *, bound=1.0, t_bucket=None,
                 children.append(a | (1 << (level - 1)))
             est, vals = _bucket_weight_estimates(query, n, level, children,
                                                  t_bucket, rng)
-            if diag is not None:
-                diag.record("gl-bucket", t_bucket, delta)
+            _reject_nan(est)
             keep = threshold
             if noise_floor_z > 0.0:
                 se = float(np.std(vals)) / math.sqrt(t_bucket)
@@ -352,8 +358,7 @@ def _gl_tree(query, n, gamma, delta, rng, *, bound=1.0, t_bucket=None,
         return []
     alphas = sorted(candidates)
     coeffs = _coefficient_estimates(query, n, alphas, t_leaf, rng)
-    if diag is not None:
-        diag.record("gl-leaf", t_leaf, delta)
+    _reject_nan(coeffs)
     out = [(a, float(c)) for a, c in zip(alphas, coeffs) if abs(c) >= gamma / 2.0]
     out.sort(key=lambda t_: (-abs(t_[1]), t_[0]))
     return out
@@ -361,7 +366,7 @@ def _gl_tree(query, n, gamma, delta, rng, *, bound=1.0, t_bucket=None,
 
 def goldreich_levin(f: FunctionOracle, gamma: float, delta: float, rng, *,
                     t_bucket=None, t_leaf=None, repeats=None, live_cap=None,
-                    noise_floor_z=0.0, diag=None) -> LinearTermList:
+                    noise_floor_z=0.0) -> LinearTermList:
     """Linear decomposition f ~ sum_i c_i (-1)^(<alpha_i, x>) + f'.
 
     With the default (Hoeffding-forced) sample counts, with probability
@@ -374,13 +379,13 @@ def goldreich_levin(f: FunctionOracle, gamma: float, delta: float, rng, *,
     """
     return _gl_tree(f.query_many, f.n, gamma, delta, rng, bound=f.bound,
                     t_bucket=t_bucket, t_leaf=t_leaf, repeats=repeats,
-                    live_cap=live_cap, noise_floor_z=noise_floor_z, diag=diag)
+                    live_cap=live_cap, noise_floor_z=noise_floor_z)
 
 
 def goldreich_levin_subspace(f: FunctionOracle, W: SubspaceF2, gamma: float,
                              delta: float, rng, *, t_bucket=None, t_leaf=None,
-                             repeats=None, live_cap=None, noise_floor_z=0.0,
-                             diag=None) -> LinearTermList:
+                             repeats=None, live_cap=None,
+                             noise_floor_z=0.0) -> LinearTermList:
     """Goldreich-Levin relative to a subspace.
 
     Characters are correlations over W: <f, chi_alpha>_W = E_{x in W}
@@ -400,7 +405,7 @@ def goldreich_levin_subspace(f: FunctionOracle, W: SubspaceF2, gamma: float,
 
     found = _gl_tree(query, d, gamma, delta, rng, bound=f.bound,
                      t_bucket=t_bucket, t_leaf=t_leaf, repeats=repeats,
-                     live_cap=live_cap, noise_floor_z=noise_floor_z, diag=diag)
+                     live_cap=live_cap, noise_floor_z=noise_floor_z)
     gram = [sum(((basis[i] & basis[j]).bit_count() & 1) << j for j in range(d))
             for i in range(d)]
     out = []

@@ -25,27 +25,22 @@ from .gf2 import (MAX_ENUM_N, MatF2, SpanBuilder, SubspaceF2,
                   symmetric_split)
 from .functions import (CallableOracle, FunctionOracle, QuadraticAverage,
                         QuadraticPhase, estimate_correlation)
-from .fourier import goldreich_levin, goldreich_levin_subspace, u3_power_gate, estimate_u3
-from .bsg import (BsgParams, DiagnosticsLog, PhiSampler, bsg_test,
-                  choose_bsg_params, edge_test)
-from .recovery import _BSG_KNOBS, _symmetric_extension, screen_anchor
+from .fourier import goldreich_levin, goldreich_levin_subspace, u3_power_gate
+from .bsg import BsgParams, PhiSampler, bsg_test, edge_test
+from .recovery import (_symmetric_extension, attempt_loop, resolve_knobs,
+                       screen_anchor)
 
 
 @dataclass(frozen=True)
 class ModelParams:
     """Random linear restriction Gamma(phi(y)) = c cutting the accepted
     set down to a sheet on which the choice function is additively
-    consistent.  Paper scales: theta' = eps^2448 / 2^487, theta =
-    eps^4912 / (3 * 2^977), m = 2 ceil(log2(1/theta')); purely analytic
-    at desk scale, kept for formula audits.  The practical profile uses
-    small m and a nominal theta."""
+    consistent.  The paper's m = 2 ceil(log2(1/theta')) is far beyond
+    desk scale (see paper_model_scales); the drivers use a small m."""
 
     gamma_map: MatF2
     c: int
     m: int
-    theta: float
-    theta_prime: float
-    profile: str = "practical"
 
 
 def paper_model_log2_scales(epsilon: float) -> tuple[float, float, int]:
@@ -68,29 +63,15 @@ def paper_model_scales(epsilon: float) -> tuple[float, float, int]:
     return theta, theta_prime, m
 
 
-def choose_model_params(n: int, rng, profile: str = "practical", *,
-                        epsilon: float | None = None,
-                        theta: float | None = None, m: int | None = None,
+def choose_model_params(n: int, rng, *, m: int = 4,
                         c: int | None = None) -> ModelParams:
-    if profile == "paper":
-        if epsilon is None:
-            raise ValueError("paper profile needs epsilon")
-        th, thp, m_v = paper_model_scales(epsilon)
-        if m is not None:
-            m_v = m
-    else:
-        th = theta if theta is not None else 0.05
-        thp = math.sqrt(th) if theta is not None else 0.05
-        m_v = m if m is not None else 4
-    gamma_map = MatF2.random(m_v, n, rng) if m_v > 0 else MatF2([], n)
-    c_v = int(rng.integers(0, 1 << m_v)) if c is None and m_v > 0 else int(c or 0)
-    return ModelParams(gamma_map=gamma_map, c=c_v, m=m_v, theta=th,
-                       theta_prime=thp, profile=profile)
+    gamma_map = MatF2.random(m, n, rng) if m > 0 else MatF2([], n)
+    c_v = int(rng.integers(0, 1 << m)) if c is None and m > 0 else int(c or 0)
+    return ModelParams(gamma_map=gamma_map, c=c_v, m=m)
 
 
 def model_test(sampler: PhiSampler, u: tuple[int, int], v: tuple[int, int],
-               params: BsgParams, model: ModelParams, rng, *,
-               diag: DiagnosticsLog | None = None) -> int:
+               params: BsgParams, model: ModelParams, rng) -> int:
     """1 iff the sandwich test accepts v AND Gamma(phi(y)) = c.
 
     The linear restriction is checked first (it is free once phi(y) is
@@ -98,7 +79,7 @@ def model_test(sampler: PhiSampler, u: tuple[int, int], v: tuple[int, int],
     y, phiy = int(v[0]), int(v[1])
     if model.m > 0 and model.gamma_map.mul_vec(phiy) != model.c:
         return 0
-    return bsg_test(sampler, u, v, params, rng, diag=diag)
+    return bsg_test(sampler, u, v, params, rng)
 
 
 class ModelMembership:
@@ -111,14 +92,12 @@ class ModelMembership:
     """
 
     def __init__(self, sampler: PhiSampler, u, bsg_params: BsgParams,
-                 model: ModelParams, rng,
-                 diag: DiagnosticsLog | None = None):
+                 model: ModelParams, rng):
         self.sampler = sampler
         self.u = u
         self.params = bsg_params
         self.model = model
         self.rng = rng
-        self.diag = diag
         self.n = sampler.n
         self._memo = np.full(1 << self.n, -1, dtype=np.int8)
         self.evaluations = 0
@@ -128,7 +107,7 @@ class ModelMembership:
         if self._memo[x] < 0:
             v = (x, self.sampler.sample(x))
             self._memo[x] = model_test(self.sampler, self.u, v, self.params,
-                                       self.model, self.rng, diag=self.diag)
+                                       self.model, self.rng)
             self.evaluations += 1
         return int(self._memo[x])
 
@@ -148,8 +127,7 @@ class ModelMembership:
 
 def bogolyubov(h, rho: float, delta: float, rng, *, gamma: float | None = None,
                t_bucket=None, t_leaf=None, repeats=None, live_cap=None,
-               noise_floor_z: float = 0.0,
-               diag: DiagnosticsLog | None = None) -> SubspaceF2:
+               noise_floor_z: float = 0.0) -> SubspaceF2:
     """Subspace V inside the 4-fold sumset of the set h indicates.
 
     Runs the linear decomposition of h at gamma = rho^(3/2)/4 and
@@ -164,7 +142,7 @@ def bogolyubov(h, rho: float, delta: float, rng, *, gamma: float | None = None,
     orc = h if isinstance(h, FunctionOracle) else h.as_oracle()
     terms = goldreich_levin(orc, gamma, delta, rng, t_bucket=t_bucket,
                             t_leaf=t_leaf, repeats=repeats, live_cap=live_cap,
-                            noise_floor_z=noise_floor_z, diag=diag)
+                            noise_floor_z=noise_floor_z)
     alphas = [a for a, _ in terms if a != 0]
     return SubspaceF2(alphas, orc.n)
 
@@ -191,7 +169,6 @@ def local_linear_choice(f: FunctionOracle, sampler: PhiSampler,
                         t_store: int | None = None, stall: int = 4,
                         draw_cap: int | None = None,
                         coset_probes: int = 48,
-                        diag: DiagnosticsLog | None = None,
                         membership: ModelMembership | None = None
                         ) -> LocalChoiceResult | None:
     """Subspace V, linear map T and coset anchor (c1, c2) from the
@@ -207,7 +184,7 @@ def local_linear_choice(f: FunctionOracle, sampler: PhiSampler,
     """
     n = f.n
     mem = membership if membership is not None else \
-        ModelMembership(sampler, u, bsg_params, model, rng, diag=diag)
+        ModelMembership(sampler, u, bsg_params, model, rng)
     if bog_rho is None or bog_gamma is None:
         # measure the accepted density: the structured part of the
         # membership spectrum lives at that scale, and the verdicts are
@@ -219,7 +196,7 @@ def local_linear_choice(f: FunctionOracle, sampler: PhiSampler,
         if bog_gamma is None:
             bog_gamma = max(0.55 * bog_rho, 1.5 / (1 << n))
     v0 = bogolyubov(mem.as_oracle(), bog_rho, delta / 20.0, rng,
-                    gamma=bog_gamma, **(bog_gl or {}), diag=diag)
+                    gamma=bog_gamma, **(bog_gl or {}))
     if v0.dim == 0:
         return None
 
@@ -342,8 +319,7 @@ def find_linear_parts(f: FunctionOracle, W: SubspaceF2, A: MatF2, B: MatF2,
                       sigma: float, delta: float, rng, *,
                       gl_kwargs: dict | None = None,
                       est_gamma: float = 0.02, max_codim: int = 16,
-                      info: dict | None = None,
-                      diag: DiagnosticsLog | None = None) -> QuadraticAverage:
+                      info: dict | None = None) -> QuadraticAverage:
     """Per-coset linear parts for the shared quadratic part A.
 
     For each coset representative y of W, the shifted product
@@ -372,7 +348,7 @@ def find_linear_parts(f: FunctionOracle, W: SubspaceF2, A: MatF2, B: MatF2,
 
         orc = CallableOracle(h_shift, n, bound=f.bound)
         found = goldreich_levin_subspace(orc, W, sigma / 2.0, delta, rng,
-                                         diag=diag, **(gl_kwargs or {}))
+                                         **(gl_kwargs or {}))
         if found:
             r, coeff = found[0]
             c_y = (0 if coeff > 0 else 1) ^ dot(r, y)
@@ -387,8 +363,6 @@ def find_linear_parts(f: FunctionOracle, W: SubspaceF2, A: MatF2, B: MatF2,
                 trial[y] = (B.mul_vec(y), cbit)
             Q = QuadraticAverage(W, A, trial, n)
             est = estimate_correlation(f, Q.as_oracle(), est_gamma, delta, rng)
-            if diag is not None:
-                diag.record("sign-trial", 0, delta)
             trials.append((est, Q))
         trials.sort(key=lambda t: -t[0])
         if info is not None:
@@ -418,7 +392,7 @@ AVERAGE_DEFAULTS = dict(
     # the model map narrows the accepted sheet by up to 2^-m; desk-sized
     # sheets only tolerate a thin cut, so the driver default is small
     # (ModelParams itself defaults to the documented m = 4)
-    model_m=1, theta=0.05, presample=160,
+    model_m=1, presample=160,
     bog_t_bucket=1 << 17, bog_t_leaf=1 << 17, bog_live_cap=48, bog_repeats=1,
     bog_noise_z=3.0,
     sigma=0.25, parts_t_bucket=4096, parts_t_leaf=4096, parts_live_cap=64,
@@ -434,89 +408,47 @@ AVERAGE_DEFAULTS = dict(
 
 
 def find_quadratic_average(f: FunctionOracle, epsilon: float, delta: float,
-                           rng, *, profile: str = "practical",
-                           diag: DiagnosticsLog | None = None,
-                           **overrides) -> FindAverageResult | None:
+                           rng, **overrides) -> FindAverageResult | None:
     """Either a quadratic average correlating with f, or bottom (None).
 
-    Retry loop over draws of (choice function, anchor, thresholds,
+    The attempt loop over draws of (choice function, anchor, thresholds,
     model map Gamma, value c): local linear choice -> local symmetry
     argument -> per-coset linear parts -> validation of the estimated
-    correlation against tau_accept.  The practical profile picks c as
-    the majority model value over a presample of promising points (a
-    uniformly random c works with probability ~theta and would be
-    re-drawn anyway) and rejects attempts whose complexity exceeds the
-    configured cap.
+    correlation against tau_accept.  c is the majority model value over
+    a presample of promising points (a uniformly random c would hit the
+    sheet with probability about 2^-m and be re-drawn anyway), and
+    attempts whose complexity exceeds the configured cap are rejected.
 
     The model-membership memo is a dense 2^n table, so the dimension is
-    capped at MAX_ENUM_N; a larger f is refused before any query.
+    capped at MAX_ENUM_N; a larger f, or an unknown knob name, is
+    refused before any query.
     """
     if not (0 < epsilon < 1 and 0 < delta < 1):
         raise ValueError("epsilon and delta must lie in (0, 1)")
     if f.n > MAX_ENUM_N:
         raise ValueError(f"find_quadratic_average refuses n > {MAX_ENUM_N} "
                          f"(dense 2^n membership memo), got n = {f.n}")
-    knobs = dict(AVERAGE_DEFAULTS)
-    knobs.update(overrides)
+    knobs = resolve_knobs(AVERAGE_DEFAULTS, overrides)
     start_queries = f.query_count
-
-    if profile == "paper":
-        theta, _, m_model = paper_model_scales(epsilon)
-        if theta == 0.0:  # m_attempts below divides by theta
-            raise ValueError(f"paper profile: the model density theta "
-                             f"underflows to 0 at epsilon={epsilon:g}")
-        u_hat = estimate_u3(f, epsilon / 4.0, delta / 4.0, rng)
-        if u_hat < 3.0 * epsilon / 4.0:
-            return None
-        sigma = epsilon ** 2  # nominal poly(eps) scale; exponent is a knob
-        tau = knobs.get("tau_accept_paper", sigma * sigma / 20.0)
-        m_attempts = math.ceil((4.0 / epsilon ** 16) ** 4 / theta
-                               * math.log(max(2.0, 1.0 / delta)))
-        phi_gamma = phi_delta = epsilon ** 16 / 18.0
-        gl_phi: dict = {}
-        anchors = 1
-    else:
-        if not u3_power_gate(f, 3.0 * epsilon / 4.0, rng,
-                             t_cap=int(knobs["gate_cap"])):
-            return None
-        theta = knobs["theta"]
-        m_model = knobs["model_m"]
-        sigma = knobs["sigma"]
-        tau = knobs["tau_accept"]
-        m_attempts = knobs["m_attempts"]
-        phi_gamma, phi_delta = knobs["phi_gamma"], knobs["phi_delta"]
-        if phi_gamma is None:
-            phi_gamma = min(0.15, max(0.08, epsilon))
-        tb = knobs["phi_t_bucket"] or math.ceil(34.0 / phi_gamma ** 2)
-        tl = knobs["phi_t_leaf"] or math.ceil(2 * tb / 3)
-        gl_phi = dict(t_bucket=tb, t_leaf=tl,
-                      repeats=knobs["phi_repeats"], live_cap=knobs["phi_live_cap"])
-        anchors = max(1, int(knobs["anchors_per_sampler"]))
-
+    if not u3_power_gate(f, 3.0 * epsilon / 4.0, rng,
+                         t_cap=int(knobs["gate_cap"])):
+        return None
     bog_gl = dict(t_bucket=knobs["bog_t_bucket"], t_leaf=knobs["bog_t_leaf"],
                   live_cap=knobs["bog_live_cap"], repeats=knobs["bog_repeats"],
                   noise_floor_z=knobs["bog_noise_z"])
     parts_gl = dict(t_bucket=knobs["parts_t_bucket"], t_leaf=knobs["parts_t_leaf"],
                     live_cap=knobs["parts_live_cap"], repeats=knobs["parts_repeats"])
-    bsg_over = {k: v for k, v in knobs.items() if k in _BSG_KNOBS}
+    cap = knobs["complexity_cap"]
 
-    sampler = None
-    for attempt in range(1, m_attempts + 1):
-        if sampler is None or (attempt - 1) % anchors == 0:
-            sampler = PhiSampler(f, phi_gamma, phi_delta, rng, diag=diag,
-                                 **gl_phi)
-        params = choose_bsg_params(epsilon, rng, profile=profile, **bsg_over)
-        anchor_bar = params.gamma1 if profile == "paper" \
-            else max(params.gamma1, knobs["anchor_gamma"])
-        u = screen_anchor(sampler, anchor_bar, rng)
+    def propose(sampler, params):
+        u = screen_anchor(sampler, max(params.gamma1, knobs["anchor_gamma"]), rng)
         if u is None:
-            continue
-        # model draw; the practical profile votes c as the majority model
-        # value over points whose edge test against the anchor passes
-        # (those are the sheet the restriction should keep)
-        model = choose_model_params(f.n, rng, profile=profile, epsilon=epsilon,
-                                    theta=theta, m=m_model)
-        if profile != "paper" and m_model > 0:
+            return
+        # model draw; c is voted as the majority model value over points
+        # whose edge test against the anchor passes (those are the sheet
+        # the restriction should keep)
+        model = choose_model_params(f.n, rng, m=knobs["model_m"])
+        if model.m > 0:
             votes: dict[int, int] = {}
             tries = 0
             hits = 0
@@ -527,37 +459,29 @@ def find_quadratic_average(f: FunctionOracle, epsilon: float, delta: float,
                 if not (rec.from_list and abs(rec.coeff) >= params.gamma1):
                     continue
                 if edge_test(sampler, u, (y, rec.alpha), params.gamma1,
-                             params.t_edge, rng, diag=diag):
+                             params.t_edge, rng):
                     key = model.gamma_map.mul_vec(rec.alpha)
                     votes[key] = votes.get(key, 0) + 1
                     hits += 1
             if votes:
                 c_major = max(votes, key=lambda k: (votes[k], -k))
-                model = ModelParams(model.gamma_map, c_major, model.m,
-                                    model.theta, model.theta_prime, model.profile)
+                model = ModelParams(model.gamma_map, c_major, model.m)
         lc = local_linear_choice(f, sampler, u, params, model, delta, rng,
-                                 bog_gl=(None if profile == "paper" else bog_gl),
-                                 diag=diag)
+                                 bog_gl=bog_gl)
         if lc is None:
-            continue
+            return
         z_c = lc.T.mul_vec(lc.c1) ^ lc.c2
         W, B, c1 = local_symmetrize(lc.V, lc.T, lc.c1, z_c, f.n)
-        cap = knobs.get("complexity_cap")
-        if cap is not None and W.codim > cap:
-            continue
-        if W.codim > 16:
-            continue
+        if (cap is not None and W.codim > cap) or W.codim > 16:
+            return
         A = symmetric_split(B)
-        Q = find_linear_parts(f, W, A, B, sigma, delta / 4.0, rng,
-                              gl_kwargs=parts_gl, diag=diag)
-        est = estimate_correlation(f, Q.as_oracle(), knobs["validate_gamma"],
-                                   knobs["validate_delta"], rng)
-        if diag is not None:
-            diag.record("validate-average", 0, knobs["validate_delta"])
-        if est < 0:
-            Q, est = Q.negated(), -est
-        if est >= tau:
-            return FindAverageResult(average=Q, correlation_estimate=est,
-                                     attempts=attempt,
-                                     queries=f.query_count - start_queries)
-    return None
+        yield find_linear_parts(f, W, A, B, knobs["sigma"], delta / 4.0, rng,
+                                gl_kwargs=parts_gl)
+
+    found = attempt_loop(f, epsilon, rng, knobs, propose)
+    if found is None:
+        return None
+    Q, est, attempt = found
+    return FindAverageResult(average=Q, correlation_estimate=est,
+                             attempts=attempt,
+                             queries=f.query_count - start_queries)

@@ -16,15 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
-import numpy as np
-
 from .gf2 import (MatF2, SpanBuilder, SubspaceF2,
                   complete_basis_full_rank_projection, dot, graph_linear_map,
                   row_reduce, solve_linear_system, symmetric_split)
 from .functions import (FunctionOracle, ProductOracle, QuadraticPhase,
                         estimate_correlation, hoeffding_samples)
-from .fourier import estimate_u3, goldreich_levin, u3_power_gate
-from .bsg import BsgParams, DiagnosticsLog, PhiSampler, bsg_test, choose_bsg_params
+from .fourier import goldreich_levin, u3_power_gate
+from .bsg import BsgParams, PhiSampler, bsg_test, choose_bsg_params
 
 
 @dataclass(frozen=True)
@@ -80,37 +78,27 @@ def screen_anchor(sampler: PhiSampler, gamma: float, rng, *,
     return (x, alpha)
 
 
-def find_linear_map(sampler: PhiSampler, params: BsgParams, delta: float, rng, *,
+def find_linear_map(sampler: PhiSampler, params: BsgParams, rng, *,
                     u: tuple[int, int] | None = None, t_min: int | None = None,
                     k_cap: int | None = None, stall: int = 8,
-                    warmup: int = 2000, profile: str = "practical",
-                    diag: DiagnosticsLog | None = None) -> LinearChoiceMap | None:
+                    warmup: int = 2000) -> LinearChoiceMap | None:
     """Sample points, keep those the sandwich test accepts against the
     anchor u, and read a linear map off the span of the accepted pairs.
 
-    Paper-profile sizing: t = 4n^2 + log2(10/delta) accepted points out
-    of K = 100 t / rho draws, aborting below t.  The practical profile
-    samples adaptively: stop once the accepted span's rank has stalled
+    Sampling is adaptive: stop once the accepted span's rank has stalled
     past t_min acceptances (below rank n only if some draw was
-    rejected), abort when a warm-up window accepts nothing,
-    cap the total draws.  None signals a bad draw of phi, u or the
-    thresholds; the driver retries.
+    rejected), abort when a warm-up window accepts nothing, cap the
+    total draws.  None signals a bad draw of phi, u or the thresholds;
+    the driver retries.
     """
     n = sampler.n
-    if profile == "paper":
-        t_req = t_min if t_min is not None else \
-            4 * n * n + math.ceil(math.log2(10.0 / delta))
-        cap = k_cap if k_cap is not None else math.ceil(100.0 * t_req / params.rho)
-        stall = t_req  # no early stop in the paper profile
-        warmup = cap
-    else:
-        # a small accepted harvest is still useful to the pooling driver;
-        # the floor only rejects draws that accept close to nothing
-        t_req = t_min if t_min is not None else 6
-        # beyond a few multiples of 2^n the memoized choice pool is
-        # exhausted and further draws only repeat it
-        cap = k_cap if k_cap is not None else min(12000, 4 << n)
-        warmup = min(warmup, cap)
+    # a small accepted harvest is still useful to the pooling driver;
+    # the floor only rejects draws that accept close to nothing
+    t_req = t_min if t_min is not None else 6
+    # beyond a few multiples of 2^n the memoized choice pool is
+    # exhausted and further draws only repeat it
+    cap = k_cap if k_cap is not None else min(12000, 4 << n)
+    warmup = min(warmup, cap)
     if u is None:
         u = screen_anchor(sampler, params.gamma1, rng)
         if u is None:
@@ -126,7 +114,7 @@ def find_linear_map(sampler: PhiSampler, params: BsgParams, delta: float, rng, *
         y = int(rng.integers(0, 1 << n))
         rec = sampler.record(y)
         v = (y, rec.alpha)
-        if bsg_test(sampler, u, v, params, rng, diag=diag) == 1:
+        if bsg_test(sampler, u, v, params, rng) == 1:
             accepted += 1
             vec = y | (rec.alpha << n)
             if span.add(vec):
@@ -237,8 +225,7 @@ def symmetrize(T: MatF2, context=None) -> tuple[SubspaceF2, MatF2]:
 
 
 def integrate(f: FunctionOracle, B: MatF2, eta_sq_threshold: float, delta: float,
-              rng, *, gl_kwargs: dict | None = None,
-              diag: DiagnosticsLog | None = None) -> QuadraticPhase | None:
+              rng, *, gl_kwargs: dict | None = None) -> QuadraticPhase | None:
     """Assemble the phase: split B = M + M^T, decompose
     f(x) (-1)^(<x,Mx>) into linear characters at the given threshold,
     and take the largest-coefficient character as the linear part (ties
@@ -247,7 +234,7 @@ def integrate(f: FunctionOracle, B: MatF2, eta_sq_threshold: float, delta: float
     M = symmetric_split(B)
     h = QuadraticPhase(M, 0, 0, B.n_cols)
     fh = ProductOracle(f, h.as_oracle())
-    terms = goldreich_levin(fh, eta_sq_threshold, delta, rng, diag=diag,
+    terms = goldreich_levin(fh, eta_sq_threshold, delta, rng,
                             **(gl_kwargs or {}))
     if not terms:
         return None
@@ -275,11 +262,36 @@ PRACTICAL_DEFAULTS = dict(
 )
 
 _BSG_KNOBS = ("rho", "interval", "n_subintervals", "r", "s", "t_edge")
+# find_linear_map's sizing, passed through by find_quadratic
+_LINMAP_KNOBS = ("t_min", "k_cap")
+
+
+def resolve_knobs(defaults: dict, overrides: dict, extra=()) -> dict:
+    """The defaults updated by the overrides.  A name that is neither a
+    default, a sandwich-test knob nor in `extra` raises ValueError, so a
+    misspelt knob is refused before any query instead of ignored."""
+    unknown = sorted(set(overrides) - set(defaults) - set(_BSG_KNOBS) - set(extra))
+    if unknown:
+        raise ValueError(f"unknown knob(s): {', '.join(unknown)}")
+    return {**defaults, **overrides}
+
+
+def phi_knobs(knobs: dict, epsilon: float) -> tuple[float, float, dict]:
+    """(gamma, delta, Goldreich-Levin counts) of the choice sampler; the
+    threshold scales with epsilon unless phi_gamma is set."""
+    gamma = knobs["phi_gamma"]
+    if gamma is None:
+        gamma = min(0.15, max(0.08, epsilon))
+    tb = knobs["phi_t_bucket"] or math.ceil(34.0 / gamma ** 2)
+    tl = knobs["phi_t_leaf"] or math.ceil(2 * tb / 3)
+    return gamma, knobs["phi_delta"], dict(
+        t_bucket=tb, t_leaf=tl, repeats=knobs["phi_repeats"],
+        live_cap=knobs["phi_live_cap"])
 
 
 def practical_query_budget(n: int, attempts: int, **overrides) -> int:
-    """Documented worst-case oracle-query budget of find_quadratic in the
-    practical profile, for counter audits.
+    """Documented worst-case oracle-query budget of find_quadratic, for
+    counter audits (`epsilon` defaults to 0.1).
 
     Per attempt: the choice sampler answers at most min(2^(n+1), 2 k_cap
     + screen) distinct decompositions, each costing at most
@@ -290,17 +302,14 @@ def practical_query_budget(n: int, attempts: int, **overrides) -> int:
     correlation samples.  The gate contributes at most 8 doubled stages
     of the cap.
     """
-    k = dict(PRACTICAL_DEFAULTS)
-    k.update(overrides)
-    epsilon = k.get("epsilon", 0.1)
-    phi_gamma = k["phi_gamma"] or min(0.15, max(0.08, epsilon))
-    tb = k["phi_t_bucket"] or math.ceil(34.0 / phi_gamma ** 2)
-    tl = k["phi_t_leaf"] or math.ceil(2 * tb / 3)
+    epsilon = overrides.pop("epsilon", 0.1)
+    k = resolve_knobs(PRACTICAL_DEFAULTS, overrides, _LINMAP_KNOBS)
+    _, _, gl = phi_knobs(k, epsilon)
     r = k.get("r", 24)
     s = k.get("s", 24)
     t_edge = k.get("t_edge", 2048)
     k_cap = k.get("k_cap") or min(12000, 4 << n)
-    gl_cost = 4 * (n * tb * k["phi_repeats"] + tl)
+    gl_cost = 4 * (n * gl["t_bucket"] * gl["repeats"] + gl["t_leaf"])
     gl_calls = min(1 << (n + 1), 2 * k_cap + 400)
     per_draw_tests = (2 + r + 2 * r * s) * 3 * 2 * t_edge
     int_cost = 4 * (n * k["int_t_bucket"] * k["int_repeats"] + k["int_t_leaf"])
@@ -311,105 +320,97 @@ def practical_query_budget(n: int, attempts: int, **overrides) -> int:
     return gate + attempts * per_attempt
 
 
-def find_quadratic(f: FunctionOracle, epsilon: float, delta: float, rng, *,
-                   profile: str = "practical", eta_exponent: float = 1.0,
-                   diag: DiagnosticsLog | None = None,
+def attempt_loop(f: FunctionOracle, epsilon: float, rng, knobs: dict, propose):
+    """The randomized attempts both finders make, after their U^3 gate.
+
+    Attempt i serves a choice sampler that is fresh every
+    anchors_per_sampler attempts, draws sandwich-test parameters and
+    calls propose(sampler, params), a generator of candidate objects.
+    Each candidate is validated by a correlation estimate as it is
+    yielded (negated when the estimate is negative), so the rng order
+    stays propose -> validate -> propose.  Returns (candidate, estimate,
+    attempt) for the attempt's best candidate once it reaches
+    tau_accept, or None after m_attempts attempts.
+    """
+    phi_gamma, phi_delta, gl_phi = phi_knobs(knobs, epsilon)
+    bsg_over = {k: knobs[k] for k in _BSG_KNOBS if k in knobs}
+    anchors = max(1, int(knobs["anchors_per_sampler"]))
+    sampler = None
+    for attempt in range(1, knobs["m_attempts"] + 1):
+        if sampler is None or (attempt - 1) % anchors == 0:
+            sampler = PhiSampler(f, phi_gamma, phi_delta, rng, **gl_phi)
+        params = choose_bsg_params(epsilon, rng, **bsg_over)
+        best = None
+        for cand in propose(sampler, params):
+            est = estimate_correlation(f, cand.as_oracle(), knobs["validate_gamma"],
+                                       knobs["validate_delta"], rng)
+            if est < 0:
+                cand, est = cand.negated(), -est
+            if best is None or est > best[1]:
+                best = (cand, est)
+        if best is not None and best[1] >= knobs["tau_accept"]:
+            return (*best, attempt)
+    return None
+
+
+def find_quadratic(f: FunctionOracle, epsilon: float, delta: float, rng,
                    **overrides) -> FindQuadraticResult | None:
     """Either a quadratic phase correlating with f, or bottom (None).
 
     Gate first: reject unless the estimated U^3 mass clears 3 eps/4
-    (the practical gate compares eighth powers with a sequential
-    decisive-margin test, the scale a sampling test can resolve).  Then
-    up to M attempts, each with a fresh choice sampler and fresh test
-    parameters: linear map -> symmetrization -> integration ->
-    validation against tau_accept.  The first validated phase wins; a
+    (the gate compares eighth powers with a sequential decisive-margin
+    test, the scale a sampling test can resolve).  Then the attempt
+    loop: linear map -> symmetrization -> integration -> validation
+    against tau_accept.  Accepted graph vectors are pooled across
+    attempts, and each attempt proposes the pool's map and its own.  A
     phase whose validation estimate falls below tau_accept is never
-    returned.
+    returned.  Unknown knob names raise ValueError before any query.
     """
     if not (0 < epsilon < 1 and 0 < delta < 1):
         raise ValueError("epsilon and delta must lie in (0, 1)")
-    knobs = dict(PRACTICAL_DEFAULTS)
-    knobs.update(overrides)
+    knobs = resolve_knobs(PRACTICAL_DEFAULTS, overrides, _LINMAP_KNOBS)
     start_queries = f.query_count
-
-    if profile == "paper":
-        eta = math.exp(-((1.0 / epsilon) ** eta_exponent))
-        tau = knobs.get("tau_accept_paper", eta * eta / 2.0)
-        rho = epsilon ** 16 / 4.0
-        m_attempts = math.ceil((1.0 / rho) ** 4 * math.log(max(2.0, 1.0 / delta)))
-        u_hat = estimate_u3(f, epsilon / 4.0, delta / 4.0, rng)
-        if diag is not None:
-            diag.record("u3-gate", 0, delta / 4.0)
-        if u_hat < 3.0 * epsilon / 4.0:
-            return None
-        phi_gamma = phi_delta = epsilon ** 16 / 18.0
-        gl_phi: dict = {}
-        gl_int: dict = {}
-        int_gamma = tau
-    else:
-        tau = knobs["tau_accept"]
-        m_attempts = knobs["m_attempts"]
-        if not u3_power_gate(f, 3.0 * epsilon / 4.0, rng,
-                             t_cap=int(knobs["gate_cap"])):
-            return None
-        if diag is not None:
-            diag.record("u3-gate", 0, delta)
-        phi_gamma, phi_delta = knobs["phi_gamma"], knobs["phi_delta"]
-        if phi_gamma is None:
-            phi_gamma = min(0.15, max(0.08, epsilon))
-        tb = knobs["phi_t_bucket"] or math.ceil(34.0 / phi_gamma ** 2)
-        tl = knobs["phi_t_leaf"] or math.ceil(2 * tb / 3)
-        gl_phi = dict(t_bucket=tb, t_leaf=tl,
-                      repeats=knobs["phi_repeats"], live_cap=knobs["phi_live_cap"])
-        gl_int = dict(t_bucket=knobs["int_t_bucket"], t_leaf=knobs["int_t_leaf"],
-                      repeats=knobs["int_repeats"], live_cap=knobs["int_live_cap"])
-        int_gamma = knobs["int_gamma"]
-
-    bsg_over = {k: v for k, v in knobs.items() if k in _BSG_KNOBS}
+    if not u3_power_gate(f, 3.0 * epsilon / 4.0, rng,
+                         t_cap=int(knobs["gate_cap"])):
+        return None
+    gl_int = dict(t_bucket=knobs["int_t_bucket"], t_leaf=knobs["int_t_leaf"],
+                  repeats=knobs["int_repeats"], live_cap=knobs["int_live_cap"])
     pool: list[int] = []  # accepted graph vectors across attempts: every
     # clean acceptance lies on the same graph {(y, By)}, so pooling them
     # lets a handful of good points per choice draw add up to full rank;
     # validation still gates what is returned
     pool_misses = 0
-    anchors = 1 if profile == "paper" else max(1, int(knobs["anchors_per_sampler"]))
-    sampler = None
-    for attempt in range(1, m_attempts + 1):
-        if sampler is None or (attempt - 1) % anchors == 0:
-            sampler = PhiSampler(f, phi_gamma, phi_delta, rng, diag=diag, **gl_phi)
-        params = choose_bsg_params(epsilon, rng, profile=profile, **bsg_over)
-        lm = find_linear_map(sampler, params, delta, rng, profile=profile,
-                             t_min=knobs.get("t_min"), k_cap=knobs.get("k_cap"),
-                             diag=diag)
+
+    def propose(sampler, params):
+        nonlocal pool, pool_misses
+        lm = find_linear_map(sampler, params, rng, t_min=knobs.get("t_min"),
+                             k_cap=knobs.get("k_cap"))
         if lm is None:
-            continue
+            return
         pool.extend(lm.vectors)
         candidates = [graph_linear_map(
             complete_basis_full_rank_projection(row_reduce(pool)[0], f.n), f.n)]
         if candidates[0] != lm.T:
             candidates.append(lm.T)
-        best = None
         for T in candidates:
-            W, B = symmetrize(T)
-            q = integrate(f, B, int_gamma, delta / 4.0, rng, gl_kwargs=gl_int,
-                          diag=diag)
-            if q is None:
-                continue
-            est = estimate_correlation(f, q.as_oracle(), knobs["validate_gamma"],
-                                       knobs["validate_delta"], rng)
-            if diag is not None:
-                diag.record("validate", 0, knobs["validate_delta"])
-            if est < 0:
-                q, est = q.negated(), -est
-            if best is None or est > best[1]:
-                best = (q, est)
-        if best is not None and best[1] >= tau:
-            return FindQuadraticResult(phase=best[0], correlation_estimate=best[1],
-                                       attempts=attempt,
-                                       queries=f.query_count - start_queries)
+            _, B = symmetrize(T)
+            q = integrate(f, B, knobs["int_gamma"], delta / 4.0, rng,
+                          gl_kwargs=gl_int)
+            if q is not None:
+                yield q
+        # reached once the candidates are validated; after an accepted
+        # attempt the loop returns and the pool is never read again
         pool_misses += 1
         if pool_misses >= 4 and row_reduce(pool)[1] >= f.n:
             # the pool already determines a full map yet nothing validates:
             # that is a contamination signal, not slow accretion; shed it
             pool = list(lm.vectors)
             pool_misses = 0
-    return None
+
+    found = attempt_loop(f, epsilon, rng, knobs, propose)
+    if found is None:
+        return None
+    phase, est, attempt = found
+    return FindQuadraticResult(phase=phase, correlation_estimate=est,
+                               attempts=attempt,
+                               queries=f.query_count - start_queries)

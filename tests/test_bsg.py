@@ -9,8 +9,8 @@ from f2quad.gf2 import SubspaceF2, dot, parity_many
 from f2quad.functions import (TableOracle, make_noisy_codeword, rand_points,
                               random_boolean_table, random_quadratic_phase)
 from f2quad.fourier import derivative_table, wht
-from f2quad.bsg import (BsgParams, DiagnosticsLog, PhiRecord, PhiSampler,
-                        bsg_test, choose_bsg_params, edge_test,
+from f2quad.bsg import (BsgParams, PhiRecord, PhiSampler, bsg_test,
+                        choose_bsg_params, edge_test,
                         estimate_derivative_coefficient)
 from f2quad.bruteforce import (exhaustive_adjacency, exhaustive_coefficients,
                                exhaustive_t_set)
@@ -248,20 +248,6 @@ def test_sandwich_sets_nested():
                               1.1 * rho ** 3, 0.9 * rho ** 2, coeff)
         a2 = exhaustive_t_set(tt, phi, u, g, g, g, rho ** 3, rho ** 2, coeff)
         assert np.all(a2.flags[a1.flags])
-
-
-def test_diagnostics_log_format(tmp_path):
-    rng = np.random.default_rng(14)
-    diag = DiagnosticsLog()
-    q = random_quadratic_phase(8, rng)
-    sam = PhiSampler(q.as_oracle(), 0.15, 0.1, rng, diag=diag, **PRACTICAL_GL)
-    sam.sample(3)
-    assert diag.lines and all(
-        ln.startswith("op=") and " samples=" in ln and " delta=" in ln
-        for ln in diag.lines)
-    path = tmp_path / "diag.log"
-    diag.write(path)
-    assert path.read_text().strip().split("\n") == diag.lines
 
 
 def test_estimate_derivative_coefficient_concentrates():

@@ -218,13 +218,10 @@ def test_usage_errors_are_input_errors(tmp_path, capsys, argv, msg):
 
 @pytest.mark.parametrize("argv, msg", [
     (["gl", "--gamma", "0.06"], "at or above 2^24"),
-    (["find-quad", "--epsilon", "0.5", "--profile", "paper"], "at or above 2^24"),
-    (["find-avg", "--epsilon", "0.5", "--profile", "paper"], "theta underflows"),
 ])
 def test_unrunnable_sample_counts_are_input_errors(tmp_path, capsys, argv, msg):
     # default Hoeffding counts past 2^24 samples (gl: 35M per level at
-    # n=8; paper find-quad: about 3e27) and a model density that
-    # underflows to 0 (paper find-avg) are refused before any sampling
+    # n=8) are refused before any sampling
     tab = tmp_path / "t.txt"
     run(capsys, "gen", "--n", "8", "--plant", "quad", "--seed", "1",
         "--out", str(tab))
@@ -233,13 +230,17 @@ def test_unrunnable_sample_counts_are_input_errors(tmp_path, capsys, argv, msg):
     assert msg in capsys.readouterr().err
 
 
-def test_paper_profile_rejects_overrides(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["find-quad", "find-avg"])
+def test_profile_option_is_removed(tmp_path, capsys, command):
+    # the paper driver profile could not run at any epsilon; its
+    # constants survive only as audited formulas
     tab = tmp_path / "t.txt"
     run(capsys, "gen", "--n", "8", "--plant", "quad", "--seed", "1",
         "--out", str(tab))
-    code, _ = run(capsys, "find-quad", "--in", str(tab), "--epsilon", "0.5",
-                  "--profile", "paper", "--rho", "0.3")
+    code = main([command, "--in", str(tab), "--epsilon", "0.5",
+                 "--profile", "paper"])
     assert code == EXIT_INPUT
+    assert "unrecognized arguments: --profile" in capsys.readouterr().err
 
 
 def test_derive_rng_separates_streams():
@@ -248,12 +249,3 @@ def test_derive_rng_separates_streams():
     c = derive_rng(5, "x", 0).integers(0, 1 << 30, size=8)
     assert not np.array_equal(a, b)
     assert np.array_equal(a, c)
-
-
-def test_bench_smoke(capsys):
-    code, out = run(capsys, "bench", "--n", "10", "--seed", "1")
-    assert code == EXIT_OK
-    lines = out.strip().split("\n")
-    assert lines[0] == "op n seconds"
-    assert any(ln.startswith("wht ") for ln in lines)
-    assert any(ln.startswith("find-quad ") for ln in lines)

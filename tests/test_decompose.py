@@ -1,5 +1,7 @@
 """Truncation loop, Boolean rounding, and the end-to-end decomposition."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -261,18 +263,23 @@ def test_decompose_full_exact_phase_measured():
     assert any("non-standard" in ln for ln in dec.steps_log)
 
 
-def test_decompose_full_delta_budget_logged():
+def test_decompose_full_delta_budget_logged(monkeypatch):
+    # every finder call receives an equal share delta / (k_max + 1)
+    decompose_mod = importlib.import_module("f2quad.decompose")
+    calls = []
+    real = decompose_mod.find_quadratic
+
+    def spy(f, epsilon, delta, rng, **knobs):
+        calls.append(delta)
+        return real(f, epsilon, delta, rng, **knobs)
+
+    monkeypatch.setattr(decompose_mod, "find_quadratic", spy)
     rng = np.random.default_rng(9)
     n = 8
-    from f2quad.bsg import DiagnosticsLog
-    diag = DiagnosticsLog()
     q = random_quadratic_phase(n, rng)
     g = TableOracle(q.truth_table().values, n, bound=1.0)
-    dec = decompose_full(g, 0.3, 2.0, 0.1, rng, mode="phases",
-                         coefficient_mode="measured", tau_accept=0.3,
-                         diag=diag)
+    decompose_full(g, 0.3, 2.0, 0.1, rng, mode="phases",
+                   coefficient_mode="measured", tau_accept=0.3)
     k_max = 4
-    calls = [ln for ln in diag.lines if ln.startswith("op=finder-call")]
-    assert calls and len(calls) <= k_max + 1
-    for ln in calls:
-        assert f"delta={0.1 / (k_max + 1):g}" in ln
+    assert 1 <= len(calls) <= k_max + 1
+    assert all(d == 0.1 / (k_max + 1) for d in calls)

@@ -197,6 +197,24 @@ def test_u3_sampler_rejects_nan():
         estimate_u3(orc, 0.1, 0.1, np.random.default_rng(4))
 
 
+def test_goldreich_levin_rejects_nan():
+    # a NaN mean fails every threshold comparison, which used to end the
+    # search with an empty list after the whole tree's queries
+    n = 6
+    vals = random_quadratic_phase(n, np.random.default_rng(3)).truth_table().values
+    vals[17] = np.nan
+    orc = TableOracle(vals, n)
+    with pytest.raises(ValueError, match="NaN"):
+        goldreich_levin(orc, 0.2, 0.05, np.random.default_rng(4),
+                        t_bucket=4096, t_leaf=4096, repeats=1)
+    assert orc.query_count <= 2 * 4096  # the first level's bucket samples
+    W = SubspaceF2.from_span([1, 2, 16, 32], n)  # holds the NaN point 17
+    with pytest.raises(ValueError, match="NaN"):
+        goldreich_levin_subspace(TableOracle(vals, n), W, 0.2, 0.05,
+                                 np.random.default_rng(4), t_bucket=4096,
+                                 t_leaf=4096, repeats=1)
+
+
 def test_u3_sample_counts_must_be_positive():
     orc = random_boolean_table(6, np.random.default_rng(5)).as_oracle()
     rng = np.random.default_rng(6)

@@ -86,7 +86,7 @@ def phase_context(n, seed, m=1):
 def test_model_test_degenerate_is_bsg():
     n = 8
     q, sam, params, u, _, rng = phase_context(n, 3, m=0)
-    model = ModelParams(MatF2([], n), 0, 0, 0.05, 0.05)
+    model = ModelParams(MatF2([], n), 0, 0)
     for _ in range(10):
         y = int(rng.integers(0, 1 << n))
         v = sam.vertex(y)
@@ -190,8 +190,7 @@ def test_local_linear_choice_planted_average_noiseless():
                 hits += 1
         if votes:
             c = max(votes, key=lambda k: (votes[k], -k))
-            model = ModelParams(model.gamma_map, c, model.m, model.theta,
-                                model.theta_prime)
+            model = ModelParams(model.gamma_map, c, model.m)
         lc = local_linear_choice(orc, sam, u, params, model, 0.05, trng,
                                  bog_gl=BOG_GL)
         if lc is None or not lc.V.is_subspace_of(Qp.W):

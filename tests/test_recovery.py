@@ -1,5 +1,6 @@
 """Global quadratic-phase recovery pipeline."""
 
+import hashlib
 import zlib
 
 import numpy as np
@@ -7,11 +8,12 @@ import pytest
 
 from f2quad.gf2 import MatF2, SubspaceF2, dot
 from f2quad.functions import (QuadraticPhase, TableOracle, correlation_exact,
-                              make_noisy_codeword, random_boolean_table,
-                              random_quadratic_phase,
+                              coherent_quadratic_average, make_noisy_codeword,
+                              random_boolean_table, random_quadratic_phase,
                               random_symmetric_zero_diag)
 from f2quad.fourier import derivative_table, exact_u3, wht
 from f2quad.bsg import PhiRecord, PhiSampler, choose_bsg_params
+from f2quad.model import find_quadratic_average
 from f2quad.recovery import (find_linear_map, find_quadratic, integrate,
                              practical_query_budget, symmetrize)
 
@@ -35,7 +37,7 @@ def test_find_linear_map_exact_phase():
     B = q.symmetric_matrix()
     sam = PhiSampler(q.as_oracle(), 0.15, 0.1, rng, **PRACTICAL_GL)
     params = choose_bsg_params(None, rng, r=12, s=12, t_edge=512)
-    lm = find_linear_map(sam, params, 0.05, rng)
+    lm = find_linear_map(sam, params, rng)
     assert lm is not None
     assert lm.T == B  # full-rank span forces T = M + M^T everywhere
     assert exact_choice_quality(q.truth_table(), lm.T) > 1.0 - 1e-9
@@ -51,7 +53,7 @@ def test_find_linear_map_adversarial_sampler_bottoms():
     for x in range(1 << n):
         sam.memo[x] = PhiRecord(int(jrng.integers(0, 1 << n)), 0.0, False)
     params = choose_bsg_params(None, rng, r=8, s=8, t_edge=256)
-    assert find_linear_map(sam, params, 0.05, rng, warmup=400) is None
+    assert find_linear_map(sam, params, rng, warmup=400) is None
 
 
 def test_find_linear_map_noisy_quality():
@@ -64,7 +66,7 @@ def test_find_linear_map_noisy_quality():
         trng = np.random.default_rng(40 + trial)
         sam = PhiSampler(nz.as_oracle(), 0.15, 0.1, trng, **PRACTICAL_GL)
         params = choose_bsg_params(None, trng)
-        lm = find_linear_map(sam, params, 0.05, trng)
+        lm = find_linear_map(sam, params, trng)
         if lm is not None:
             got = max(got, exact_choice_quality(nz, lm.T))
             if got >= 0.05:
@@ -215,3 +217,73 @@ def test_all_accepted_harvest_does_not_stop_below_rank_n():
     res = find_quadratic(q.as_oracle(), 0.5, 0.05, np.random.default_rng(solve),
                          tau_accept=0.05)
     assert res is not None and res.phase == q
+
+
+@pytest.mark.parametrize("finder", [find_quadratic, find_quadratic_average])
+def test_unknown_knob_is_refused_before_any_query(finder):
+    q = random_quadratic_phase(5, np.random.default_rng(13))
+    orc = q.as_oracle()
+    with pytest.raises(ValueError, match="tau_acept"):
+        finder(orc, 0.5, 0.05, np.random.default_rng(0), tau_acept=0.99)
+    assert orc.query_count == 0
+
+
+def test_find_quadratic_takes_linear_map_knobs():
+    # t_min and k_cap size find_linear_map; the averages finder has no
+    # linear-map harvest and refuses them
+    q = random_quadratic_phase(5, np.random.default_rng(13))
+    res = find_quadratic(q.as_oracle(), 0.5, 0.05, np.random.default_rng(1),
+                         t_min=6, k_cap=128)
+    assert res is not None and res.phase == q
+    with pytest.raises(ValueError, match="k_cap"):
+        find_quadratic_average(q.as_oracle(), 0.5, 0.05,
+                               np.random.default_rng(1), k_cap=128)
+    with pytest.raises(ValueError, match="bogus"):
+        practical_query_budget(8, 1, bogus=1)
+
+
+def finder_fingerprints(kind: str, seeds) -> str:
+    """Digest of (truth table, estimate, attempts, queries) per seed."""
+    h = hashlib.sha256()
+    for s in seeds:
+        rng = np.random.default_rng(s)
+        if kind == "noisy-n6":
+            # a bar of 0.3 fails some validated attempts, so later ones
+            # propose both the pool's map and their own
+            nz = make_noisy_codeword(random_quadratic_phase(6, rng), 0.25, rng)
+            res = find_quadratic(nz.as_oracle(), 0.25, 0.05, rng, tau_accept=0.3)
+            obj = res and res.phase
+        elif kind == "callable-n7":
+            q = random_quadratic_phase(7, rng)
+            res = find_quadratic(q.as_oracle(), 0.5, 0.05, rng)
+            obj = res and res.phase
+        else:
+            Q = coherent_quadratic_average(6, 2, rng)
+            tt = Q.truth_table()
+            tt.values[rng.random(64) < 0.2] *= -1.0
+            res = find_quadratic_average(tt.as_oracle(), 0.25, 0.05, rng,
+                                         tau_accept=0.12, complexity_cap=4)
+            obj = res and res.average
+        if res is None:
+            h.update(b"bottom")
+            continue
+        h.update(obj.truth_table().values.tobytes())
+        h.update(f"{res.correlation_estimate!r} {res.attempts} "
+                 f"{res.queries}".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind, seeds, digest", [
+    # 13, 7, 3 and 3 attempts: the sampler rotates every 6
+    ("noisy-n6", (1008, 1011, 1014, 1018),
+     "a77ff44b2c15d9e58f435bc48caada9f06c378d309af7bbd7cae1cf9076a5dde"),
+    ("callable-n7", (1000, 1001, 1002, 1003),
+     "698aa307faf58a0c435649c252e9e7c9b1932fa42f5ce2287d770aad68289333"),
+    # 9, 11, 20 and 13 attempts: the sampler rotates every 4
+    ("codim2-average-n6", (1005, 1008, 1041, 1057),
+     "2485b4b7be8d84eddb1aab4bf231c62d82a24c98efd831765e160809ba958220"),
+])
+def test_finders_seeded_output_pinned(kind, seeds, digest):
+    # pinned before both finders shared one attempt loop: any change of
+    # the rng order (propose, validate, redraw) moves some digest
+    assert finder_fingerprints(kind, seeds) == digest
