@@ -307,7 +307,9 @@ def _gl_defaults(n, gamma, delta, bound):
 
 
 def _reject_nan(est):
-    if np.isnan(est).any():
+    # a NaN sample makes every estimate NaN (each one includes the mean
+    # of all the samples), so the first entry tells
+    if math.isnan(est[0]):
         raise ValueError("the oracle returned NaN on a Goldreich-Levin sample")
 
 

@@ -231,6 +231,18 @@ def test_unrunnable_sample_counts_are_input_errors(tmp_path, capsys, argv, msg):
 
 
 @pytest.mark.parametrize("command", ["find-quad", "find-avg"])
+def test_every_override_is_a_known_knob(tmp_path, capsys, command):
+    # an unknown knob name would exit 1; 0 or 2 means every override resolved
+    tab = tmp_path / "t.txt"
+    run(capsys, "gen", "--n", "5", "--plant", "quad", "--seed", "1",
+        "--out", str(tab))
+    code = main([command, "--in", str(tab), "--epsilon", "0.5", "--rho", "0.3",
+                 "--t-edge", "256", "--r", "4", "--s", "4", "--tau-accept",
+                 "0.05", "--m-attempts", "1"])
+    assert code in (EXIT_OK, EXIT_BOTTOM), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["find-quad", "find-avg"])
 def test_profile_option_is_removed(tmp_path, capsys, command):
     # the paper driver profile could not run at any epsilon; its
     # constants survive only as audited formulas

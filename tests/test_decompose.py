@@ -110,6 +110,16 @@ def test_rounding_bound_check():
         f.query_many(np.arange(4, dtype=np.uint64))
 
 
+@pytest.mark.parametrize("mode", ["phases", "averages"])
+def test_decompose_full_passes_knobs_to_the_finder(mode):
+    # finder knobs pass through by name; a misspelt one is refused
+    g = TableOracle(random_quadratic_phase(4, np.random.default_rng(2))
+                    .truth_table().values, 4)
+    with pytest.raises(ValueError, match="tau_acept"):
+        decompose_full(g, 0.3, 2.0, 0.05, np.random.default_rng(3), mode=mode,
+                       tau_acept=0.3)
+
+
 def test_rounding_rejects_nan():
     n = 6
     vals = np.zeros(1 << n)

@@ -209,10 +209,11 @@ def test_goldreich_levin_rejects_nan():
                         t_bucket=4096, t_leaf=4096, repeats=1)
     assert orc.query_count <= 2 * 4096  # the first level's bucket samples
     W = SubspaceF2.from_span([1, 2, 16, 32], n)  # holds the NaN point 17
+    orc = TableOracle(vals, n)
     with pytest.raises(ValueError, match="NaN"):
-        goldreich_levin_subspace(TableOracle(vals, n), W, 0.2, 0.05,
-                                 np.random.default_rng(4), t_bucket=4096,
-                                 t_leaf=4096, repeats=1)
+        goldreich_levin_subspace(orc, W, 0.2, 0.05, np.random.default_rng(4),
+                                 t_bucket=4096, t_leaf=4096, repeats=1)
+    assert orc.query_count <= 2 * 4096
 
 
 def test_u3_sample_counts_must_be_positive():
