@@ -218,10 +218,12 @@ def test_usage_errors_are_input_errors(tmp_path, capsys, argv, msg):
 
 @pytest.mark.parametrize("argv, msg", [
     (["gl", "--gamma", "0.06"], "at or above 2^24"),
+    (["gl", "--gamma", "0.1", "--delta", "1e-100"], "at or above 2^24"),
 ])
 def test_unrunnable_sample_counts_are_input_errors(tmp_path, capsys, argv, msg):
-    # default Hoeffding counts past 2^24 samples (gl: 35M per level at
-    # n=8) are refused before any sampling
+    # Hoeffding counts past 2^24 samples are refused before any sampling,
+    # whether a small gamma (gl: 35M per level at n=8) or a tiny delta at
+    # a gamma that runs by default (77M per level) forces them
     tab = tmp_path / "t.txt"
     run(capsys, "gen", "--n", "8", "--plant", "quad", "--seed", "1",
         "--out", str(tab))
@@ -240,6 +242,17 @@ def test_every_override_is_a_known_knob(tmp_path, capsys, command):
                  "--t-edge", "256", "--r", "4", "--s", "4", "--tau-accept",
                  "0.05", "--m-attempts", "1"])
     assert code in (EXIT_OK, EXIT_BOTTOM), capsys.readouterr().err
+
+
+def test_paper_profile_rejects_overrides(tmp_path, capsys):
+    # with the profile gone, a profile name next to a knob override is
+    # still refused as an input error, never silently run
+    tab = tmp_path / "t.txt"
+    run(capsys, "gen", "--n", "8", "--plant", "quad", "--seed", "1",
+        "--out", str(tab))
+    code, _ = run(capsys, "find-quad", "--in", str(tab), "--epsilon", "0.5",
+                  "--profile", "paper", "--rho", "0.3")
+    assert code == EXIT_INPUT
 
 
 @pytest.mark.parametrize("command", ["find-quad", "find-avg"])
