@@ -21,7 +21,6 @@ at least eta^2, and the potential starts at most 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 import math
 
 import numpy as np
@@ -29,27 +28,44 @@ import numpy as np
 from .functions import (FunctionOracle, estimate_correlation,
                         ValueTable, hoeffding_samples, rand_points)
 from .fourier import estimate_u3, u3_power_gate
-from .recovery import find_quadratic
-from .model import find_quadratic_average
+from .recovery import (PRACTICAL_DEFAULTS, _LINMAP_KNOBS, find_quadratic,
+                       resolve_knobs)
+from .model import AVERAGE_DEFAULTS, find_quadratic_average
+
+
+def _tabled(oracle, kernel, xs: np.ndarray) -> np.ndarray:
+    """kernel(xs) through the oracle's value table.  A point at or above
+    2^n bypasses the table, so the oracles beneath decide what it means
+    (a ``TableOracle`` root raises IndexError)."""
+    if xs.size and int(xs.max()) >> oracle.n:
+        return kernel(xs)
+    return oracle._table(kernel, xs)
 
 
 class ResidualOracle(FunctionOracle):
-    """Lazily computed residual clamp(g - sum c_i q_i, -B, B).
+    """The residual clamp(g - sum c_i q_i, -B, B) under oracle access to g.
 
-    No truth table is materialized: each query evaluates g and the
-    accumulated terms pointwise, so the loop works with oracle access
-    at any supported dimension.  `raw_many` exposes the unclamped h for
-    the truncation-error term e = h - clamp(h).
+    Each query is one query of g.  At n <= MAX_TABLE_N the residual's
+    own values fill a ``ValueTable`` once the points asked for reach 2^n,
+    and every later query is one gather; until then, and above n = 16,
+    g and the terms are evaluated pointwise.  `raw_many` exposes the
+    unclamped h for the truncation-error term e = h - clamp(h).
     """
+
+    reads = (("g", 1),)
 
     def __init__(self, g: FunctionOracle, terms, bound: float):
         super().__init__(g.n, bound)
         self.g = g
         self.terms = list(terms)
+        self._table = ValueTable(self.n)
 
     def raw_many(self, xs: np.ndarray) -> np.ndarray:
-        """h(x) in a fresh array (the root's values are never written)."""
-        vals = self.g.query_many(xs)
+        """h(x) in a fresh array, querying g (whose values are never
+        written)."""
+        return self._minus_terms(self.g.query_many(xs), xs)
+
+    def _minus_terms(self, vals: np.ndarray, xs: np.ndarray) -> np.ndarray:
         if not self.terms:
             return vals.copy()
         (coeff, obj), *rest = self.terms
@@ -58,9 +74,12 @@ class ResidualOracle(FunctionOracle):
             vals -= coeff * obj.eval_many(xs)
         return vals
 
-    def _evaluate(self, xs):
-        vals = self.raw_many(xs)
+    def _clamped(self, xs: np.ndarray) -> np.ndarray:
+        vals = self._minus_terms(self.g._evaluate(xs), xs)
         return np.clip(vals, -self.bound, self.bound, out=vals)
+
+    def _evaluate(self, xs):
+        return _tabled(self, self._clamped, xs)
 
 
 class RoundedBooleanOracle(FunctionOracle):
@@ -69,23 +88,20 @@ class RoundedBooleanOracle(FunctionOracle):
     f~(x) is +1 with probability (1 + f(x)/B)/2, decided by a keyed
     pseudorandom draw per (seed, x) rather than a memo, so repeated
     queries are consistent without unbounded storage.  The draw reads
-    the low n bits of x; once 2^n points have been drawn (at n <=
-    MAX_TABLE_N) the draws of all 2^n points are hashed once into a
-    ``ValueTable`` and gathered from there.
+    the low n bits of x.  Each query is one query of the base.  At n <=
+    MAX_TABLE_N the rounded values fill a ``ValueTable`` once the points
+    asked for reach 2^n.  A point whose base value is NaN or exceeds B
+    rounds to NaN, and the query that reads it raises ValueError.
     """
+
+    reads = (("base", 1),)
 
     def __init__(self, base: FunctionOracle, bound: float, seed: int):
         super().__init__(base.n, 1.0)
         self.base = base
         self.round_bound = float(bound)
         self.seed = np.uint64(seed & ((1 << 64) - 1))
-
-    @cached_property
-    def _draws(self) -> ValueTable:
-        return ValueTable(self.n)
-
-    def _uniform(self, xs: np.ndarray) -> np.ndarray:
-        return self._draws(self._hash_uniform, xs)
+        self._table = ValueTable(self.n)
 
     def _hash_uniform(self, xs: np.ndarray) -> np.ndarray:
         xs = xs & np.uint64((1 << self.n) - 1)
@@ -96,16 +112,21 @@ class RoundedBooleanOracle(FunctionOracle):
             z ^= z >> np.uint64(31)
         return z.astype(np.float64) / float(1 << 64)
 
-    def _evaluate(self, xs):
-        vals = self.base.query_many(xs)
-        lim = self.round_bound + 1e-12
-        if vals.size and not (vals.min() >= -lim and vals.max() <= lim):
-            raise ValueError("base oracle exceeds the stated bound or "
-                             "returned NaN")
+    def _rounded(self, xs: np.ndarray) -> np.ndarray:
+        vals = self.base._evaluate(xs)
         p_plus = vals / self.round_bound
         p_plus += 1.0
         p_plus /= 2.0
-        return np.where(self._uniform(xs) < p_plus, 1.0, -1.0)
+        out = np.where(self._hash_uniform(xs) < p_plus, 1.0, -1.0)
+        out[~(np.abs(vals) <= self.round_bound + 1e-12)] = np.nan
+        return out
+
+    def _evaluate(self, xs):
+        out = _tabled(self, self._rounded, xs)
+        if np.isnan(out).any():
+            raise ValueError("base oracle exceeds the stated bound or "
+                             "returned NaN")
+        return out
 
 
 def boolean_round_oracle(f: FunctionOracle, bound: float,
@@ -225,15 +246,21 @@ def decompose_full(g: FunctionOracle, epsilon: float, bound: float,
 
     The failure budget delta is split uniformly over the at most
     k_max + 1 finder calls: each call receives delta / (k_max + 1).
+    Finder knobs are resolved against the chosen finder's defaults on
+    entry, so an unknown name raises ValueError before any query.
     """
     _check_args(epsilon, bound, delta, eta)
     if mode not in ("phases", "averages"):
         raise ValueError("mode must be 'phases' or 'averages'")
+    defaults, extra = ((PRACTICAL_DEFAULTS, _LINMAP_KNOBS) if mode == "phases"
+                       else (AVERAGE_DEFAULTS, ()))
+    # bottoms must be cheap here
+    finder_knobs = resolve_knobs(defaults, {"m_attempts": 12, **finder_knobs},
+                                 extra)
     if k_max is None:
         k_max = math.ceil(1.0 / (eta * eta))
     delta_each = delta / (k_max + 1)
     eps_finder = epsilon / (2.0 * bound)
-    finder_knobs.setdefault("m_attempts", 12)  # bottoms must be cheap here
 
     def finder(oracle, rng_):
         seed = int(rng_.integers(0, 1 << 62))

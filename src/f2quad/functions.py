@@ -1,11 +1,20 @@
 """Oracle-access functions on F_2^n, truth tables, and quadratic objects.
 
 Oracles are query-counted and support batched evaluation: every query
-path ultimately goes through ``query_many`` on a uint64 point array, so
+goes through ``FunctionOracle.query_many`` on a uint64 point array, so
 sampling estimators can run vectorized.  Truth-table-backed oracles are
 immutable and replay-deterministic.  The oracle stack handles n up to
 MAX_ORACLE_N (points are packed in single machine words); the gf2 core
 alone goes higher.
+
+Counting is separate from evaluation.  ``query_many`` charges each point
+to the oracle asked and, through the class attribute ``reads`` (the
+oracles a class reads and how many times per point), to every oracle
+beneath it: a derivative charges its base twice per point, a product
+each factor once.  Evaluation below the top reads the lower oracles'
+``_evaluate`` and counts nothing, so an oracle that answers from a value
+table (below) is charged exactly as one that reads its base each time,
+and building a table is not a query.
 
 Quadratic phases and averages share one vectorized kernel for the form
 <x, Mx> + <alpha, x> = parity(x & (Mx ^ alpha)).  Mx is the XOR over the
@@ -17,20 +26,21 @@ on first evaluation and keeps them in its instance dict, outside the
 dataclass fields, so equality and hashing are unaffected.  The form
 ignores bits of x at or above n.
 
-A quadratic object, and the rounding oracle of the decomposition loop,
-also keep a ``ValueTable``: once the points they have been asked for
-reach 2^n in total, and if n <= MAX_TABLE_N (16), the kernel fills a
-table of its own outputs at all 2^n points, 8 * 2^n bytes (at most
-512 KB), and every later call is one gather on the low n bits of each
-point, so the values are those of the kernel bit for bit.  Building
-only then bounds the kernel work of an object by twice the points it is
-asked for, and an object asked for fewer than 2^n points (a one-off
-validation at n = 15 or 16, say) never builds one.  Above n = 16 the
-kernel answers every call, and it stays the reference the tests compare
-the tables against.
+A quadratic object, and the residual and rounding oracles of the
+decomposition loop, also keep a ``ValueTable``: once the points they
+have been asked for reach 2^n in total, and if n <= MAX_TABLE_N (16),
+the kernel fills a table of its own outputs at all 2^n points, 8 * 2^n
+bytes (at most 512 KB), and every later call is one gather on the low n
+bits of each point, so the values are those of the kernel bit for bit.
+Building only then bounds the kernel work of an object by twice the
+points it is asked for, and an object asked for fewer than 2^n points (a
+one-off validation at n = 15 or 16, say) never builds one.  Above n = 16
+the kernel answers every call, and it stays the reference the tests
+compare the tables against.
 
 A ``TableOracle`` answers the points 0 .. 2^n - 1 and raises IndexError
-for every point at or above 2^n.
+for every point at or above 2^n; an oracle built over one keeps that
+error, because it leaves such points to the oracles beneath it.
 """
 
 from __future__ import annotations
@@ -70,9 +80,14 @@ def hoeffding_samples(gamma: float, delta: float) -> int:
 class FunctionOracle:
     """Query-counted oracle access to a map F_2^n -> [-B, B].
 
-    Subclasses implement ``_evaluate``.  ``query_count`` increments once
-    per queried point.
+    Subclasses implement ``_evaluate`` and declare ``reads``: the
+    (attribute, queries per point) pairs of the oracles their
+    ``_evaluate`` reads, empty for a leaf.  ``query_count`` increments
+    once per queried point, and once per point and read for every oracle
+    beneath.
     """
+
+    reads: tuple[tuple[str, int], ...]  # no default: every class declares
 
     def __init__(self, n: int, bound: float = 1.0):
         check_dim(n, MAX_ORACLE_N)
@@ -85,14 +100,21 @@ class FunctionOracle:
 
     def query_many(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.uint64)
-        self.query_count += int(xs.size)
+        self._charge(xs.size)
         return self._evaluate(xs)
+
+    def _charge(self, points: int) -> None:
+        self.query_count += points
+        for name, times in self.reads:
+            getattr(self, name)._charge(times * points)
 
     def _evaluate(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
 class TableOracle(FunctionOracle):
+    reads = ()
+
     def __init__(self, values: np.ndarray, n: int, bound: float = 1.0):
         super().__init__(n, bound)
         self._values = values
@@ -107,7 +129,11 @@ class TableOracle(FunctionOracle):
 
 
 class CallableOracle(FunctionOracle):
-    """Oracle from a vectorized evaluator ``fn(uint64 array) -> float64``."""
+    """Oracle from a vectorized evaluator ``fn(uint64 array) -> float64``.
+
+    A leaf: whatever ``fn`` queries is counted by ``fn`` itself."""
+
+    reads = ()
 
     def __init__(self, fn, n: int, bound: float = 1.0):
         super().__init__(n, bound)
@@ -120,8 +146,10 @@ class CallableOracle(FunctionOracle):
 class DerivativeOracle(FunctionOracle):
     """f_x(y) = f(y) f(x + y): the multiplicative derivative of f at x.
 
-    Each evaluation makes two base queries (counted on the base oracle).
+    Each query is two base queries (counted on the base oracle).
     """
+
+    reads = (("base", 2),)
 
     def __init__(self, base: FunctionOracle, shift: int):
         super().__init__(base.n, base.bound ** 2)
@@ -129,10 +157,12 @@ class DerivativeOracle(FunctionOracle):
         self.shift = int(shift)
 
     def _evaluate(self, xs):
-        return query_product(self.base.query_many, xs, xs ^ np.uint64(self.shift))
+        return query_product(self.base._evaluate, xs, xs ^ np.uint64(self.shift))
 
 
 class ProductOracle(FunctionOracle):
+    reads = (("f", 1), ("g", 1))
+
     def __init__(self, f: FunctionOracle, g: FunctionOracle):
         if f.n != g.n:
             raise ValueError("dimension mismatch")
@@ -141,7 +171,7 @@ class ProductOracle(FunctionOracle):
         self.g = g
 
     def _evaluate(self, xs):
-        return self.f.query_many(xs) * self.g.query_many(xs)
+        return self.f._evaluate(xs) * self.g._evaluate(xs)
 
 
 def derivative(f: FunctionOracle, x: int) -> DerivativeOracle:

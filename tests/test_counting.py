@@ -1,0 +1,173 @@
+"""The counting contract of the oracle stack.
+
+A query is charged to the oracle asked and, with the fan-out its class
+declares in ``reads``, to every oracle beneath it, whether the values
+come from the oracles beneath or from a value table.  The values are
+those of the pointwise definitions, bit for bit.
+"""
+
+import importlib
+import pkgutil
+
+import numpy as np
+import pytest
+
+import f2quad
+from f2quad.decompose import ResidualOracle, RoundedBooleanOracle
+from f2quad.functions import (MAX_TABLE_N, DerivativeOracle, FunctionOracle,
+                              ProductOracle, TableOracle, rand_points,
+                              random_quadratic_phase)
+from test_decompose import splitmix_uniform
+
+
+def residual_at(root_value, terms, bound, x):
+    v = root_value
+    for coeff, q in terms:
+        v = v - coeff * q.eval(x)
+    return min(max(v, -bound), bound)
+
+
+def rounded_at(v, bound, seed, x):
+    u = splitmix_uniform([x], seed)[0]
+    return 1.0 if u < (v / bound + 1.0) / 2.0 else -1.0
+
+
+def query_batches(n, rng):
+    """Seeded batches that repeat points; their running total of points
+    crosses 2^5 at the fifth batch."""
+    batches = [rand_points(rng, n, s) for s in (3, 1, 26, 1, 9, 64, 5)]
+    batches[4][:4] = batches[0][0]  # a repeated point inside one batch
+    return batches
+
+
+def chains(n, rng):
+    """(name, oracles from top to root, per-point reference, charges per
+    point from the top down) for each chain under test."""
+    root_vals = rng.uniform(-1.0, 1.0, size=1 << n)
+    terms = [(0.5, random_quadratic_phase(n, rng)),
+             (0.75, random_quadratic_phase(n, rng))]
+    seed = int(rng.integers(0, 1 << 62))
+    shift = int(rng.integers(1, 1 << n))
+    phase = random_quadratic_phase(n, rng)
+    out = []
+
+    root = TableOracle(root_vals, n)
+    res = ResidualOracle(root, terms, 1.2)
+    rounded = RoundedBooleanOracle(res, 1.2, seed)
+    out.append(("table-residual-rounded", [rounded, res, root],
+                lambda x: rounded_at(residual_at(root_vals[x], terms, 1.2, x),
+                                     1.2, seed, x),
+                [1, 1, 1]))
+
+    root = TableOracle(root_vals, n)
+    out.append(("table-derivative", [DerivativeOracle(root, shift), root],
+                lambda x: root_vals[x] * root_vals[x ^ shift], [1, 2]))
+
+    root = TableOracle(root_vals, n)
+    other = phase.as_oracle()
+    out.append(("table-product", [ProductOracle(root, other), root, other],
+                lambda x: root_vals[x] * phase.eval(x), [1, 1, 1]))
+
+    root = phase.as_oracle()
+    out.append(("phase-residual", [ResidualOracle(root, terms, 2.0), root],
+                lambda x: residual_at(phase.eval(x), terms, 2.0, x), [1, 1]))
+    return out
+
+
+@pytest.mark.parametrize("n", [5, MAX_TABLE_N + 1])
+def test_chains_count_and_answer_like_the_pointwise_definition(n):
+    for name, oracles, ref, fan_out in chains(n, np.random.default_rng(n)):
+        top = oracles[0]
+        asked = 0
+        for xs in query_batches(n, np.random.default_rng(100 + n)):
+            got = top.query_many(xs)
+            want = np.array([ref(int(x)) for x in xs])
+            assert np.array_equal(got, want), name
+            asked += xs.size
+            assert [o.query_count for o in oracles] == \
+                [k * asked for k in fan_out], name
+        assert float(top(int(xs[0]))) == ref(int(xs[0]))
+        table = getattr(top, "_table", None)
+        if table is not None:
+            assert (table.values is None) == (n > MAX_TABLE_N), name
+
+
+def test_queries_on_a_lower_oracle_add_to_its_count():
+    n = 5
+    rng = np.random.default_rng(3)
+    root = TableOracle(rng.uniform(-1.0, 1.0, size=1 << n), n)
+    res = ResidualOracle(root, [(0.5, random_quadratic_phase(n, rng))], 1.2)
+    rounded = RoundedBooleanOracle(res, 1.2, 7)
+    rounded.query_many(np.arange(1 << n, dtype=np.uint64))
+    res.query_many(np.arange(4, dtype=np.uint64))
+    res.raw_many(np.arange(3, dtype=np.uint64))  # counted on the root only
+    assert (rounded.query_count, res.query_count, root.query_count) == \
+        (32, 36, 39)
+
+
+@pytest.mark.parametrize("x", [1 << 5, 1 << 63, (1 << 64) - 1])
+def test_a_table_root_still_refuses_points_at_or_above_2n(x):
+    n = 5
+    rng = np.random.default_rng(4)
+    root = TableOracle(rng.uniform(-1.0, 1.0, size=1 << n), n)
+    res = ResidualOracle(root, [(0.5, random_quadratic_phase(n, rng))], 1.2)
+    top = [RoundedBooleanOracle(res, 1.2, 9), res, DerivativeOracle(root, 3)]
+    bad = np.array([2, x], dtype=np.uint64)
+    for orc in top:
+        with pytest.raises(IndexError):
+            orc.query_many(bad)
+        orc.query_many(np.arange(1 << n, dtype=np.uint64))  # tables built
+        with pytest.raises(IndexError):
+            orc.query_many(bad)
+        with pytest.raises(IndexError):
+            orc(x)
+
+
+@pytest.mark.parametrize("bad_value, over_residual",
+                         [(np.nan, False), (5.0, False), (np.nan, True)])
+def test_a_bad_base_value_raises_on_the_query_that_reads_it(bad_value,
+                                                            over_residual):
+    n = 5
+    vals = np.random.default_rng(5).uniform(-1.0, 1.0, size=1 << n)
+    vals[9] = bad_value
+    base = TableOracle(vals, n, bound=2.0)
+    if over_residual:
+        base = ResidualOracle(base, [], 2.0)
+    rounded = RoundedBooleanOracle(base, 2.0, 11)
+    good = np.delete(np.arange(1 << n, dtype=np.uint64), 9)
+    for _ in range(3):  # the second call fills the table, 9 included
+        rounded.query_many(good)
+    assert rounded._table.values is not None
+    with pytest.raises(ValueError, match="NaN"):
+        rounded.query_many(np.array([3, 9], dtype=np.uint64))
+    with pytest.raises(ValueError, match="NaN"):
+        RoundedBooleanOracle(base, 2.0, 11).query_many(np.array([9]))
+    assert rounded.query_many(good).size == good.size
+
+
+def all_oracle_classes():
+    for mod in pkgutil.iter_modules(f2quad.__path__):
+        importlib.import_module(f"f2quad.{mod.name}")
+    found, todo = [], [FunctionOracle]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("f2quad."):
+                found.append(cls)
+            todo.append(cls)
+    return found
+
+
+def test_every_oracle_class_declares_what_it_reads():
+    # a composite that does not declare its reads would under-count the
+    # oracles beneath it; a leaf declares an empty tuple
+    classes = all_oracle_classes()
+    assert {c.__name__ for c in classes} >= {
+        "TableOracle", "CallableOracle", "DerivativeOracle", "ProductOracle",
+        "ResidualOracle", "RoundedBooleanOracle"}
+    for cls in classes:
+        assert "reads" in vars(cls), cls.__name__
+        for name, times in cls.reads:
+            assert isinstance(name, str) and isinstance(times, int) \
+                and times >= 1, cls.__name__
+    # one entry point: no class overrides query_many
+    assert [c.__name__ for c in classes if "query_many" in vars(c)] == []

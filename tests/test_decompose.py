@@ -1,6 +1,8 @@
 """Truncation loop, Boolean rounding, and the end-to-end decomposition."""
 
+import hashlib
 import importlib
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from f2quad.functions import (MAX_TABLE_N, QuadraticAverage, TableOracle,
 from f2quad.fourier import exact_u3
 from f2quad.decompose import (Decomposition, boolean_round_oracle, decompose,
                               decompose_full, step_inequality_slack)
+from f2quad.serialize import average_to_dict, phase_to_dict
 
 
 def dictionary_finder(candidates, threshold, gamma=0.02, delta=0.01):
@@ -79,18 +82,21 @@ def test_rounding_draw_table_matches_hash(n):
                              seed=(1 << 62) + n)
     xs = np.concatenate((np.array([0, (1 << n) - 1], dtype=np.uint64),
                          rand_points(rng, n, 200)))
-    got = f._uniform(xs)
-    assert np.array_equal(got, f._hash_uniform(xs))
-    assert np.array_equal(got, splitmix_uniform(xs, (1 << 62) + n))
-    # once 2^n points have been drawn (up to MAX_TABLE_N) the table answers
-    assert (f._draws.values is None) == (n > MAX_TABLE_N or xs.size < 1 << n)
-    f._uniform(np.arange(1 << n, dtype=np.uint64))
-    assert (f._draws.values is None) == (n > MAX_TABLE_N)
-    assert np.array_equal(f._uniform(xs), got)
+    draws = splitmix_uniform(xs, (1 << 62) + n)
+    assert np.array_equal(f._hash_uniform(xs), draws)
+    # a zero base rounds to +1 exactly where the draw is below 1/2
+    got = f.query_many(xs)
+    assert np.array_equal(got, np.where(draws < 0.5, 1.0, -1.0))
+    # once 2^n points have been asked for (up to MAX_TABLE_N) the table
+    # of rounded values answers, with the same values
+    assert (f._table.values is None) == (n > MAX_TABLE_N or xs.size < 1 << n)
+    f.query_many(np.arange(1 << n, dtype=np.uint64))
+    assert (f._table.values is None) == (n > MAX_TABLE_N)
+    assert np.array_equal(f.query_many(xs), got)
     # the draw reads the low n bits only
     stray = xs | (rng.integers(1, 1 << (64 - n), size=xs.size,
                                dtype=np.uint64) << np.uint64(n))
-    assert np.array_equal(f._uniform(stray), got)
+    assert np.array_equal(f._hash_uniform(stray), draws)
 
 
 def test_rounding_zero_mean():
@@ -118,6 +124,7 @@ def test_decompose_full_passes_knobs_to_the_finder(mode):
     with pytest.raises(ValueError, match="tau_acept"):
         decompose_full(g, 0.3, 2.0, 0.05, np.random.default_rng(3), mode=mode,
                        tau_acept=0.3)
+    assert g.query_count == 0  # refused on entry, before the loop gate
 
 
 def test_rounding_rejects_nan():
@@ -293,3 +300,38 @@ def test_decompose_full_delta_budget_logged(monkeypatch):
     k_max = 4
     assert 1 <= len(calls) <= k_max + 1
     assert all(d == 0.1 / (k_max + 1) for d in calls)
+
+
+def decomposition_digest(dec):
+    terms = [[coeff, average_to_dict(obj) if isinstance(obj, QuadraticAverage)
+              else phase_to_dict(obj)] for coeff, obj in dec.terms]
+    blob = json.dumps([terms, dec.steps_log, dec.residual_u3_estimate,
+                       dec.e_l1_estimate], sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("mode, seed, queries, digest", [
+    ("phases", 1, 29574760, "5ee00fb97a65298c"),
+    ("phases", 2, 20301416, "0bd4811de1248a72"),
+    ("phases", 3, 72443496, "f99a9e136b584e33"),
+    ("averages", 1, 60271464, "c7ae967e97161dd0"),
+    ("averages", 2, 46697320, "766a54608b04b78b"),
+])
+def test_decompose_full_seeded_counts_pinned(mode, seed, queries, digest):
+    # pinned before the residual and rounding oracles served their values
+    # from tables: the root's query count and every term, estimate and
+    # log line stay as they were; phases on the n=4 two-phase mixture,
+    # averages on a coherent codim-2 average at n=6
+    rng = np.random.default_rng(seed)
+    if mode == "phases":
+        n = 4
+        vals = 0.5 * (random_quadratic_phase(n, rng).truth_table().values
+                      + random_quadratic_phase(n, rng).truth_table().values)
+    else:
+        n = 6
+        vals = coherent_quadratic_average(n, 2, rng).truth_table().values
+    g = TableOracle(vals, n)
+    dec = decompose_full(g, 0.3, 2.0, 0.05, rng, mode=mode)
+    assert dec.k == 4
+    assert g.query_count == queries
+    assert decomposition_digest(dec) == digest
