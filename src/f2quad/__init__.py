@@ -27,7 +27,7 @@ from .model import (FindAverageResult, LocalChoiceResult, ModelParams,
                     bogolyubov, choose_model_params, find_linear_parts,
                     find_quadratic_average, local_linear_choice,
                     local_symmetrize, model_test)
-from .decompose import (Decomposition, boolean_round_oracle, decompose,
+from .decompose import (Decomposition, RoundedBooleanOracle, decompose,
                         decompose_full)
 from . import bruteforce, serialize
 

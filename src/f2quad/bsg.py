@@ -142,8 +142,6 @@ class BsgParams:
 
 def choose_bsg_params(epsilon: float | None, rng, profile: str = "practical", *,
                       rho: float | None = None,
-                      interval: tuple[float, float] | None = None,
-                      n_subintervals: int | None = None,
                       r: int | None = None, s: int | None = None,
                       t_edge: int | None = None,
                       delta: float = 0.05) -> BsgParams:
@@ -154,8 +152,7 @@ def choose_bsg_params(epsilon: float | None, rng, profile: str = "practical", *,
             raise ValueError("paper profile needs epsilon in (0, 1)")
         rho_default = epsilon ** 16 / 4.0
         rho_v = rho if rho is not None else rho_default
-        lo, hi = interval if interval is not None \
-            else (epsilon ** 16 / 180.0, epsilon ** 16 / 18.0)
+        lo, hi = epsilon ** 16 / 180.0, epsilon ** 16 / 18.0
         err = min(rho_v ** 3 / 100.0, 0.999)
         r_v = r if r is not None else hoeffding_samples(err, delta)
         s_v = s if s is not None else hoeffding_samples(err, delta)
@@ -164,14 +161,13 @@ def choose_bsg_params(epsilon: float | None, rng, profile: str = "practical", *,
         if epsilon is not None and not 0 < epsilon < 1:
             raise ValueError("epsilon out of range")
         rho_v = rho if rho is not None else 0.2
-        lo, hi = interval if interval is not None else (0.05, 0.15)
+        lo, hi = 0.05, 0.15
         r_v = r if r is not None else 24
         s_v = s if s is not None else 24
         t_v = t_edge if t_edge is not None else 2048
     else:
         raise ValueError(f"unknown profile {profile!r}")
-    n_sub = n_subintervals if n_subintervals is not None \
-        else max(1, round(4.0 / rho_v ** 2))
+    n_sub = max(1, round(4.0 / rho_v ** 2))
     width = (hi - lo) / n_sub
     i = int(rng.integers(0, n_sub))
     g_lo, g_hi = lo + i * width, lo + (i + 1) * width

@@ -28,8 +28,7 @@ import numpy as np
 from .functions import (FunctionOracle, estimate_correlation,
                         ValueTable, hoeffding_samples, rand_points)
 from .fourier import estimate_u3, u3_power_gate
-from .recovery import (PRACTICAL_DEFAULTS, _LINMAP_KNOBS, find_quadratic,
-                       resolve_knobs)
+from .recovery import PRACTICAL_DEFAULTS, find_quadratic, resolve_knobs
 from .model import AVERAGE_DEFAULTS, find_quadratic_average
 
 
@@ -129,11 +128,6 @@ class RoundedBooleanOracle(FunctionOracle):
         return out
 
 
-def boolean_round_oracle(f: FunctionOracle, bound: float,
-                         seed: int) -> RoundedBooleanOracle:
-    return RoundedBooleanOracle(f, bound, seed)
-
-
 @dataclass
 class Decomposition:
     """Term list plus residual diagnostics.
@@ -172,8 +166,7 @@ def _check_args(epsilon: float, bound: float, delta: float, eta: float) -> None:
 
 def decompose(g: FunctionOracle, epsilon: float, bound: float, delta: float,
               finder, rng, *, eta: float = 0.5, k_max: int | None = None,
-              coefficient_mode: str = "fixed",
-              gate_cap: int = 1 << 22) -> Decomposition:
+              coefficient_mode: str = "fixed") -> Decomposition:
     """Run the truncation loop against an arbitrary finder.
 
     finder(oracle, rng) must return an object with eval_many/as_oracle
@@ -186,7 +179,7 @@ def decompose(g: FunctionOracle, epsilon: float, bound: float, delta: float,
 
     coefficient_mode "fixed" subtracts eta per step; "measured"
     (flagged non-standard in the log) subtracts the measured
-    correlation, clamped to [eta, 1].
+    correlation, clamped to [0.01, 1].
     """
     _check_args(epsilon, bound, delta, eta)
     if coefficient_mode not in ("fixed", "measured"):
@@ -197,7 +190,7 @@ def decompose(g: FunctionOracle, epsilon: float, bound: float, delta: float,
                         coefficient_mode=coefficient_mode)
     for step in range(1, k_max + 1):
         f_t = dec.residual_oracle()
-        if not u3_power_gate(f_t, 3.0 * epsilon / 4.0, rng, t_cap=gate_cap):
+        if not u3_power_gate(f_t, 3.0 * epsilon / 4.0, rng, t_cap=1 << 22):
             dec.steps_log.append(f"step={step} gate=reject")
             break
         found = finder(f_t, rng)
@@ -252,11 +245,9 @@ def decompose_full(g: FunctionOracle, epsilon: float, bound: float,
     _check_args(epsilon, bound, delta, eta)
     if mode not in ("phases", "averages"):
         raise ValueError("mode must be 'phases' or 'averages'")
-    defaults, extra = ((PRACTICAL_DEFAULTS, _LINMAP_KNOBS) if mode == "phases"
-                       else (AVERAGE_DEFAULTS, ()))
+    defaults = PRACTICAL_DEFAULTS if mode == "phases" else AVERAGE_DEFAULTS
     # bottoms must be cheap here
-    finder_knobs = resolve_knobs(defaults, {"m_attempts": 12, **finder_knobs},
-                                 extra)
+    finder_knobs = resolve_knobs(defaults, {"m_attempts": 12, **finder_knobs})
     if k_max is None:
         k_max = math.ceil(1.0 / (eta * eta))
     delta_each = delta / (k_max + 1)
@@ -264,7 +255,7 @@ def decompose_full(g: FunctionOracle, epsilon: float, bound: float,
 
     def finder(oracle, rng_):
         seed = int(rng_.integers(0, 1 << 62))
-        rounded = boolean_round_oracle(oracle, bound, seed)
+        rounded = RoundedBooleanOracle(oracle, bound, seed)
         if mode == "phases":
             res = find_quadratic(rounded, eps_finder, delta_each, rng_,
                                  **finder_knobs)

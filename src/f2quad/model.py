@@ -163,13 +163,8 @@ class LocalChoiceResult:
 def local_linear_choice(f: FunctionOracle, sampler: PhiSampler,
                         u: tuple[int, int], bsg_params: BsgParams,
                         model: ModelParams, delta: float, rng, *,
-                        bog_gamma: float | None = None,
-                        bog_rho: float | None = None,
                         bog_gl: dict | None = None,
-                        t_store: int | None = None, stall: int = 4,
-                        draw_cap: int | None = None,
-                        coset_probes: int = 48,
-                        membership: ModelMembership | None = None
+                        draw_cap: int | None = None
                         ) -> LocalChoiceResult | None:
     """Subspace V, linear map T and coset anchor (c1, c2) from the
     model-restricted accepted set.
@@ -180,29 +175,24 @@ def local_linear_choice(f: FunctionOracle, sampler: PhiSampler,
     the restricted choice function makes zeta linear, so the stored
     points span V and extend to a map T.  (3) The coset of
     Z = {(x, Tx)} holding the most accepted probes supplies (c1, c2).
-    None on sample starvation at any stage (a bad draw; driver retries).
+    Sampling stops once 4 quadruples are stored and the last 6 left the
+    span unchanged.  None on sample starvation at any stage (a bad draw;
+    driver retries).
     """
     n = f.n
-    mem = membership if membership is not None else \
-        ModelMembership(sampler, u, bsg_params, model, rng)
-    if bog_rho is None or bog_gamma is None:
-        # measure the accepted density: the structured part of the
-        # membership spectrum lives at that scale, and the verdicts are
-        # memoized so the probes are reused by every later stage
-        probes = rng.integers(0, 1 << n, size=min(512, 1 << n), dtype=np.uint64)
-        dens = float(np.mean(mem.query_many(probes)))
-        if bog_rho is None:
-            bog_rho = max(dens, 4.0 / (1 << n))
-        if bog_gamma is None:
-            bog_gamma = max(0.55 * bog_rho, 1.5 / (1 << n))
-    v0 = bogolyubov(mem.as_oracle(), bog_rho, delta / 20.0, rng,
-                    gamma=bog_gamma, **(bog_gl or {}))
+    mem = ModelMembership(sampler, u, bsg_params, model, rng)
+    # measure the accepted density: the structured part of the
+    # membership spectrum lives at that scale, and the verdicts are
+    # memoized so the probes are reused by every later stage
+    probes = rng.integers(0, 1 << n, size=min(512, 1 << n), dtype=np.uint64)
+    dens = float(np.mean(mem.query_many(probes)))
+    rho = max(dens, 4.0 / (1 << n))
+    v0 = bogolyubov(mem.as_oracle(), rho, delta / 20.0, rng,
+                    gamma=max(0.55 * rho, 1.5 / (1 << n)), **(bog_gl or {}))
     if v0.dim == 0:
         return None
 
     cap = draw_cap if draw_cap is not None else 40 << n
-    target = t_store if t_store is not None else 4
-    stall = max(stall, 6) if t_store is None else stall
     pool: list[int] = []
     draws = 0
 
@@ -247,9 +237,9 @@ def local_linear_choice(f: FunctionOracle, sampler: PhiSampler,
             stalled = 0
         else:
             stalled += 1
-        if len(stored) >= target and stalled >= stall:
+        if len(stored) >= 4 and stalled >= 6:
             break
-    if len(stored) < target:
+    if len(stored) < 4:
         return None
 
     V = SubspaceF2.from_span([y for y, _ in stored], n)
@@ -262,7 +252,7 @@ def local_linear_choice(f: FunctionOracle, sampler: PhiSampler,
     votes: dict[int, tuple[int, int]] = {}
     counts: dict[int, int] = {}
     probes = list(dict.fromkeys(pool))
-    while len(probes) < coset_probes:
+    while len(probes) < 48:
         x = draw_accepted()
         if x is None:
             break
@@ -386,25 +376,27 @@ class FindAverageResult:
         return self.average.complexity
 
 
+# the override knobs of find_quadratic_average; None leaves the choice to
+# choose_bsg_params
 AVERAGE_DEFAULTS = dict(
-    phi_gamma=None, phi_delta=0.1,  # None = scale with epsilon
-    phi_t_bucket=None, phi_t_leaf=None, phi_repeats=1, phi_live_cap=20,
-    # the model map narrows the accepted sheet by up to 2^-m; desk-sized
-    # sheets only tolerate a thin cut, so the driver default is small
-    # (ModelParams itself defaults to the documented m = 4)
-    model_m=1, presample=160,
-    bog_t_bucket=1 << 17, bog_t_leaf=1 << 17, bog_live_cap=48, bog_repeats=1,
-    bog_noise_z=3.0,
-    sigma=0.25, parts_t_bucket=4096, parts_t_leaf=4096, parts_live_cap=64,
-    parts_repeats=1,
+    tau_accept=0.1, m_attempts=24,
     # accepted sheets here are far sparser than the choice graph of a
     # noisy codeword; a larger rho scale keeps the neighborhood trimming
     # from rejecting sheet members on spurious empty-sample events
-    rho=0.45, anchor_gamma=0.2,
-    tau_accept=0.1, m_attempts=24, anchors_per_sampler=4,
-    validate_gamma=0.02, validate_delta=0.01,
-    complexity_cap=None, gate_cap=1 << 26,
+    rho=0.45, r=None, s=None, t_edge=None,
+    # the model map narrows the accepted sheet by up to 2^-m; desk-sized
+    # sheets only tolerate a thin cut, so the driver default is small
+    # (ModelParams itself defaults to the documented m = 4)
+    model_m=1, complexity_cap=None,
 )
+
+# Goldreich-Levin counts of the Bogolyubov and linear-parts steps
+BOGOLYUBOV_GL = dict(t_bucket=1 << 17, t_leaf=1 << 17, live_cap=48, repeats=1,
+                     noise_floor_z=3.0)
+PARTS_GL = dict(t_bucket=4096, t_leaf=4096, live_cap=64, repeats=1)
+SIGMA = 0.25         # find_linear_parts' threshold scale
+PRESAMPLE = 160      # draws that vote for the model value c
+ANCHOR_GAMMA = 0.2   # floor of the anchor's coefficient
 
 
 def find_quadratic_average(f: FunctionOracle, epsilon: float, delta: float,
@@ -430,18 +422,12 @@ def find_quadratic_average(f: FunctionOracle, epsilon: float, delta: float,
                          f"(dense 2^n membership memo), got n = {f.n}")
     knobs = resolve_knobs(AVERAGE_DEFAULTS, overrides)
     start_queries = f.query_count
-    if not u3_power_gate(f, 3.0 * epsilon / 4.0, rng,
-                         t_cap=int(knobs["gate_cap"])):
+    if not u3_power_gate(f, 3.0 * epsilon / 4.0, rng):
         return None
-    bog_gl = dict(t_bucket=knobs["bog_t_bucket"], t_leaf=knobs["bog_t_leaf"],
-                  live_cap=knobs["bog_live_cap"], repeats=knobs["bog_repeats"],
-                  noise_floor_z=knobs["bog_noise_z"])
-    parts_gl = dict(t_bucket=knobs["parts_t_bucket"], t_leaf=knobs["parts_t_leaf"],
-                    live_cap=knobs["parts_live_cap"], repeats=knobs["parts_repeats"])
     cap = knobs["complexity_cap"]
 
     def propose(sampler, params):
-        u = screen_anchor(sampler, max(params.gamma1, knobs["anchor_gamma"]), rng)
+        u = screen_anchor(sampler, max(params.gamma1, ANCHOR_GAMMA), rng)
         if u is None:
             return
         # model draw; c is voted as the majority model value over points
@@ -452,7 +438,7 @@ def find_quadratic_average(f: FunctionOracle, epsilon: float, delta: float,
             votes: dict[int, int] = {}
             tries = 0
             hits = 0
-            while hits < 12 and tries < knobs["presample"]:
+            while hits < 12 and tries < PRESAMPLE:
                 tries += 1
                 y = int(rng.integers(0, 1 << f.n))
                 rec = sampler.record(y)
@@ -467,7 +453,7 @@ def find_quadratic_average(f: FunctionOracle, epsilon: float, delta: float,
                 c_major = max(votes, key=lambda k: (votes[k], -k))
                 model = ModelParams(model.gamma_map, c_major, model.m)
         lc = local_linear_choice(f, sampler, u, params, model, delta, rng,
-                                 bog_gl=bog_gl)
+                                 bog_gl=BOGOLYUBOV_GL)
         if lc is None:
             return
         z_c = lc.T.mul_vec(lc.c1) ^ lc.c2
@@ -475,10 +461,10 @@ def find_quadratic_average(f: FunctionOracle, epsilon: float, delta: float,
         if (cap is not None and W.codim > cap) or W.codim > 16:
             return
         A = symmetric_split(B)
-        yield find_linear_parts(f, W, A, B, knobs["sigma"], delta / 4.0, rng,
-                                gl_kwargs=parts_gl)
+        yield find_linear_parts(f, W, A, B, SIGMA, delta / 4.0, rng,
+                                gl_kwargs=PARTS_GL)
 
-    found = attempt_loop(f, epsilon, rng, knobs, propose)
+    found = attempt_loop(f, epsilon, rng, knobs, propose, anchors=4)
     if found is None:
         return None
     Q, est, attempt = found

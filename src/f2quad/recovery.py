@@ -202,7 +202,7 @@ def _symmetric_extension(T: MatF2, W: SubspaceF2) -> MatF2:
     return D.transpose() @ G @ D
 
 
-def symmetrize(T: MatF2, context=None) -> tuple[SubspaceF2, MatF2]:
+def symmetrize(T: MatF2) -> tuple[SubspaceF2, MatF2]:
     """Subspace W on which T acts as a symmetric zero-diagonal form,
     plus a globally symmetric zero-diagonal B agreeing with T there.
 
@@ -244,49 +244,37 @@ def integrate(f: FunctionOracle, B: MatF2, eta_sq_threshold: float, delta: float
 
 # -- driver ----------------------------------------------------------------------
 
-PRACTICAL_DEFAULTS = dict(
-    # None = scale with epsilon: the choice decomposition must see
-    # derivative coefficients down to roughly the correlation scale the
-    # driver is asked about, and the bucket counts follow the threshold
-    phi_gamma=None, phi_delta=0.1,
-    phi_t_bucket=None, phi_t_leaf=None, phi_repeats=1, phi_live_cap=20,
-    int_gamma=0.1, int_t_bucket=8192, int_t_leaf=8192, int_repeats=1,
-    int_live_cap=128,
-    tau_accept=0.05, m_attempts=50,
-    validate_gamma=0.02, validate_delta=0.01,
-    gate_cap=1 << 26,
-    # anchor/threshold redraws served by one memoized choice draw before
-    # the next fresh sampler: redraws cost almost nothing once the memo
-    # is warm, while a fresh sampler pays for the whole table again
-    anchors_per_sampler=6,
-)
+# the override knobs of find_quadratic; None leaves the choice to
+# choose_bsg_params (rho, r, s, t_edge) or to find_linear_map (t_min, k_cap)
+PRACTICAL_DEFAULTS = dict(tau_accept=0.05, m_attempts=50, rho=None, r=None,
+                          s=None, t_edge=None, t_min=None, k_cap=None)
 
-_BSG_KNOBS = ("rho", "interval", "n_subintervals", "r", "s", "t_edge")
-# find_linear_map's sizing, passed through by find_quadratic
-_LINMAP_KNOBS = ("t_min", "k_cap")
+# Goldreich-Levin threshold and counts of the integration step
+INTEGRATE_GAMMA = 0.1
+INTEGRATE_GL = dict(t_bucket=8192, t_leaf=8192, repeats=1, live_cap=128)
+# the correlation estimate every candidate is validated by
+VALIDATE_GAMMA, VALIDATE_DELTA = 0.02, 0.01
 
 
-def resolve_knobs(defaults: dict, overrides: dict, extra=()) -> dict:
-    """The defaults updated by the overrides.  A name that is neither a
-    default, a sandwich-test knob nor in `extra` raises ValueError, so a
-    misspelt knob is refused before any query instead of ignored."""
-    unknown = sorted(set(overrides) - set(defaults) - set(_BSG_KNOBS) - set(extra))
+def resolve_knobs(defaults: dict, overrides: dict) -> dict:
+    """The defaults updated by the overrides.  A name that is not a
+    default raises ValueError, so a misspelt knob is refused before any
+    query instead of ignored."""
+    unknown = sorted(set(overrides) - set(defaults))
     if unknown:
         raise ValueError(f"unknown knob(s): {', '.join(unknown)}")
     return {**defaults, **overrides}
 
 
-def phi_knobs(knobs: dict, epsilon: float) -> tuple[float, float, dict]:
-    """(gamma, delta, Goldreich-Levin counts) of the choice sampler; the
-    threshold scales with epsilon unless phi_gamma is set."""
-    gamma = knobs["phi_gamma"]
-    if gamma is None:
-        gamma = min(0.15, max(0.08, epsilon))
-    tb = knobs["phi_t_bucket"] or math.ceil(34.0 / gamma ** 2)
-    tl = knobs["phi_t_leaf"] or math.ceil(2 * tb / 3)
-    return gamma, knobs["phi_delta"], dict(
-        t_bucket=tb, t_leaf=tl, repeats=knobs["phi_repeats"],
-        live_cap=knobs["phi_live_cap"])
+def phi_knobs(epsilon: float) -> tuple[float, float, dict]:
+    """(gamma, delta, Goldreich-Levin counts) of the choice sampler.  The
+    choice decomposition must see derivative coefficients down to
+    roughly the correlation scale the driver is asked about, so the
+    threshold scales with epsilon and the bucket counts follow it."""
+    gamma = min(0.15, max(0.08, epsilon))
+    tb = math.ceil(34.0 / gamma ** 2)
+    return gamma, 0.1, dict(t_bucket=tb, t_leaf=math.ceil(2 * tb / 3),
+                            repeats=1, live_cap=20)
 
 
 def practical_query_budget(n: int, attempts: int, **overrides) -> int:
@@ -300,41 +288,42 @@ def practical_query_budget(n: int, attempts: int, **overrides) -> int:
     3 coefficient estimates at 2 t_edge queries each; integration and
     validation add one decomposition at the integration counts plus the
     correlation samples.  The gate contributes at most 8 doubled stages
-    of the cap.
+    of its default cap, 2^26.
     """
     epsilon = overrides.pop("epsilon", 0.1)
-    k = resolve_knobs(PRACTICAL_DEFAULTS, overrides, _LINMAP_KNOBS)
-    _, _, gl = phi_knobs(k, epsilon)
-    r = k.get("r", 24)
-    s = k.get("s", 24)
-    t_edge = k.get("t_edge", 2048)
-    k_cap = k.get("k_cap") or min(12000, 4 << n)
+    k = resolve_knobs(PRACTICAL_DEFAULTS, overrides)
+    _, _, gl = phi_knobs(epsilon)
+    r = k["r"] or 24
+    s = k["s"] or 24
+    t_edge = k["t_edge"] or 2048
+    k_cap = k["k_cap"] or min(12000, 4 << n)
     gl_cost = 4 * (n * gl["t_bucket"] * gl["repeats"] + gl["t_leaf"])
     gl_calls = min(1 << (n + 1), 2 * k_cap + 400)
     per_draw_tests = (2 + r + 2 * r * s) * 3 * 2 * t_edge
-    int_cost = 4 * (n * k["int_t_bucket"] * k["int_repeats"] + k["int_t_leaf"])
-    validate = hoeffding_samples(k["validate_gamma"], k["validate_delta"]) * 2
+    int_cost = 4 * (n * INTEGRATE_GL["t_bucket"] * INTEGRATE_GL["repeats"]
+                    + INTEGRATE_GL["t_leaf"])
+    validate = hoeffding_samples(VALIDATE_GAMMA, VALIDATE_DELTA) * 2
     per_attempt = gl_calls * gl_cost + (k_cap + 400) * per_draw_tests \
         + 2 * int_cost + 2 * validate
-    gate = 16 * int(k["gate_cap"]) * 8
+    gate = 16 * (1 << 26) * 8
     return gate + attempts * per_attempt
 
 
-def attempt_loop(f: FunctionOracle, epsilon: float, rng, knobs: dict, propose):
+def attempt_loop(f: FunctionOracle, epsilon: float, rng, knobs: dict, propose,
+                 anchors: int):
     """The randomized attempts both finders make, after their U^3 gate.
 
-    Attempt i serves a choice sampler that is fresh every
-    anchors_per_sampler attempts, draws sandwich-test parameters and
-    calls propose(sampler, params), a generator of candidate objects.
+    Attempt i serves a choice sampler that is fresh every `anchors`
+    attempts, draws sandwich-test parameters and calls
+    propose(sampler, params), a generator of candidate objects.
     Each candidate is validated by a correlation estimate as it is
     yielded (negated when the estimate is negative), so the rng order
     stays propose -> validate -> propose.  Returns (candidate, estimate,
     attempt) for the attempt's best candidate once it reaches
     tau_accept, or None after m_attempts attempts.
     """
-    phi_gamma, phi_delta, gl_phi = phi_knobs(knobs, epsilon)
-    bsg_over = {k: knobs[k] for k in _BSG_KNOBS if k in knobs}
-    anchors = max(1, int(knobs["anchors_per_sampler"]))
+    phi_gamma, phi_delta, gl_phi = phi_knobs(epsilon)
+    bsg_over = {k: knobs[k] for k in ("rho", "r", "s", "t_edge")}
     sampler = None
     for attempt in range(1, knobs["m_attempts"] + 1):
         if sampler is None or (attempt - 1) % anchors == 0:
@@ -342,8 +331,8 @@ def attempt_loop(f: FunctionOracle, epsilon: float, rng, knobs: dict, propose):
         params = choose_bsg_params(epsilon, rng, **bsg_over)
         best = None
         for cand in propose(sampler, params):
-            est = estimate_correlation(f, cand.as_oracle(), knobs["validate_gamma"],
-                                       knobs["validate_delta"], rng)
+            est = estimate_correlation(f, cand.as_oracle(), VALIDATE_GAMMA,
+                                       VALIDATE_DELTA, rng)
             if est < 0:
                 cand, est = cand.negated(), -est
             if best is None or est > best[1]:
@@ -368,13 +357,10 @@ def find_quadratic(f: FunctionOracle, epsilon: float, delta: float, rng,
     """
     if not (0 < epsilon < 1 and 0 < delta < 1):
         raise ValueError("epsilon and delta must lie in (0, 1)")
-    knobs = resolve_knobs(PRACTICAL_DEFAULTS, overrides, _LINMAP_KNOBS)
+    knobs = resolve_knobs(PRACTICAL_DEFAULTS, overrides)
     start_queries = f.query_count
-    if not u3_power_gate(f, 3.0 * epsilon / 4.0, rng,
-                         t_cap=int(knobs["gate_cap"])):
+    if not u3_power_gate(f, 3.0 * epsilon / 4.0, rng):
         return None
-    gl_int = dict(t_bucket=knobs["int_t_bucket"], t_leaf=knobs["int_t_leaf"],
-                  repeats=knobs["int_repeats"], live_cap=knobs["int_live_cap"])
     pool: list[int] = []  # accepted graph vectors across attempts: every
     # clean acceptance lies on the same graph {(y, By)}, so pooling them
     # lets a handful of good points per choice draw add up to full rank;
@@ -383,8 +369,8 @@ def find_quadratic(f: FunctionOracle, epsilon: float, delta: float, rng,
 
     def propose(sampler, params):
         nonlocal pool, pool_misses
-        lm = find_linear_map(sampler, params, rng, t_min=knobs.get("t_min"),
-                             k_cap=knobs.get("k_cap"))
+        lm = find_linear_map(sampler, params, rng, t_min=knobs["t_min"],
+                             k_cap=knobs["k_cap"])
         if lm is None:
             return
         pool.extend(lm.vectors)
@@ -394,8 +380,8 @@ def find_quadratic(f: FunctionOracle, epsilon: float, delta: float, rng,
             candidates.append(lm.T)
         for T in candidates:
             _, B = symmetrize(T)
-            q = integrate(f, B, knobs["int_gamma"], delta / 4.0, rng,
-                          gl_kwargs=gl_int)
+            q = integrate(f, B, INTEGRATE_GAMMA, delta / 4.0, rng,
+                          gl_kwargs=INTEGRATE_GL)
             if q is not None:
                 yield q
         # reached once the candidates are validated; after an accepted
@@ -407,7 +393,10 @@ def find_quadratic(f: FunctionOracle, epsilon: float, delta: float, rng,
             pool = list(lm.vectors)
             pool_misses = 0
 
-    found = attempt_loop(f, epsilon, rng, knobs, propose)
+    # anchor/threshold redraws served by one memoized choice draw before
+    # the next fresh sampler: redraws cost almost nothing once the memo
+    # is warm, while a fresh sampler pays for the whole table again
+    found = attempt_loop(f, epsilon, rng, knobs, propose, anchors=6)
     if found is None:
         return None
     phase, est, attempt = found

@@ -13,7 +13,7 @@ from f2quad.functions import (MAX_TABLE_N, QuadraticAverage, TableOracle,
                               make_noisy_codeword, rand_points,
                               random_boolean_table, random_quadratic_phase)
 from f2quad.fourier import exact_u3
-from f2quad.decompose import (Decomposition, boolean_round_oracle, decompose,
+from f2quad.decompose import (Decomposition, RoundedBooleanOracle, decompose,
                               decompose_full, step_inequality_slack)
 from f2quad.serialize import average_to_dict, phase_to_dict
 
@@ -50,11 +50,11 @@ def exact_exit_quantities(dec, gv, n, bound):
 def test_rounding_extremes_and_consistency():
     n = 10
     const = TableOracle(np.full(1 << n, 3.0), n, bound=3.0)
-    f = boolean_round_oracle(const, 3.0, seed=5)
+    f = RoundedBooleanOracle(const, 3.0, seed=5)
     xs = np.arange(1 << n, dtype=np.uint64)
     assert np.all(f.query_many(xs) == 1.0)
     rng = np.random.default_rng(0)
-    g = boolean_round_oracle(TableOracle(rng.uniform(-2, 2, 1 << n), n, 2.0),
+    g = RoundedBooleanOracle(TableOracle(rng.uniform(-2, 2, 1 << n), n, 2.0),
                              2.0, seed=9)
     v1 = g.query_many(xs)
     for _ in range(5):
@@ -78,7 +78,7 @@ def splitmix_uniform(xs, seed):
 @pytest.mark.parametrize("n", [1, 5, 16, 17])
 def test_rounding_draw_table_matches_hash(n):
     rng = np.random.default_rng(40 + n)
-    f = boolean_round_oracle(TableOracle(np.zeros(1 << n), n, 2.0), 2.0,
+    f = RoundedBooleanOracle(TableOracle(np.zeros(1 << n), n, 2.0), 2.0,
                              seed=(1 << 62) + n)
     xs = np.concatenate((np.array([0, (1 << n) - 1], dtype=np.uint64),
                          rand_points(rng, n, 200)))
@@ -102,7 +102,7 @@ def test_rounding_draw_table_matches_hash(n):
 def test_rounding_zero_mean():
     n = 14
     zero = TableOracle(np.zeros(1 << n), n, bound=2.0)
-    f = boolean_round_oracle(zero, 2.0, seed=11)
+    f = RoundedBooleanOracle(zero, 2.0, seed=11)
     rng = np.random.default_rng(1)
     xs = rng.integers(0, 1 << n, size=4096, dtype=np.uint64)
     assert abs(float(np.mean(f.query_many(xs)))) <= 0.05
@@ -111,19 +111,29 @@ def test_rounding_zero_mean():
 def test_rounding_bound_check():
     n = 6
     big = TableOracle(np.full(1 << n, 5.0), n, bound=5.0)
-    f = boolean_round_oracle(big, 2.0, seed=1)
+    f = RoundedBooleanOracle(big, 2.0, seed=1)
     with pytest.raises(ValueError):
         f.query_many(np.arange(4, dtype=np.uint64))
 
 
-@pytest.mark.parametrize("mode", ["phases", "averages"])
-def test_decompose_full_passes_knobs_to_the_finder(mode):
-    # finder knobs pass through by name; a misspelt one is refused
+# settings that are constants where they are read, so no finder takes
+# them as knobs
+REMOVED_KNOBS = ("phi_gamma", "gate_cap", "anchors_per_sampler", "interval",
+                 "int_t_bucket", "bog_noise_z", "sigma", "presample")
+
+
+@pytest.mark.parametrize("mode, name", [
+    pytest.param(mode, name, id=mode + (name and "-" + name))
+    for mode in ("phases", "averages") for name in ("",) + REMOVED_KNOBS])
+def test_decompose_full_passes_knobs_to_the_finder(mode, name):
+    # finder knobs pass through by name; a misspelt one (the bare case)
+    # or a removed one is refused
+    name = name or "tau_acept"
     g = TableOracle(random_quadratic_phase(4, np.random.default_rng(2))
                     .truth_table().values, 4)
-    with pytest.raises(ValueError, match="tau_acept"):
+    with pytest.raises(ValueError, match=name):
         decompose_full(g, 0.3, 2.0, 0.05, np.random.default_rng(3), mode=mode,
-                       tau_acept=0.3)
+                       **{name: 0.3})
     assert g.query_count == 0  # refused on entry, before the loop gate
 
 
@@ -131,7 +141,7 @@ def test_rounding_rejects_nan():
     n = 6
     vals = np.zeros(1 << n)
     vals[9] = np.nan
-    f = boolean_round_oracle(TableOracle(vals, n, bound=2.0), 2.0, seed=1)
+    f = RoundedBooleanOracle(TableOracle(vals, n, bound=2.0), 2.0, seed=1)
     with pytest.raises(ValueError, match="NaN"):
         f.query_many(np.arange(1 << n, dtype=np.uint64))
 
@@ -155,7 +165,7 @@ def test_rounding_expectation_tracks_base():
     rng = np.random.default_rng(2)
     vals = rng.uniform(-2, 2, 1 << n)
     base = TableOracle(vals, n, bound=2.0)
-    f = boolean_round_oracle(base, 2.0, seed=3)
+    f = RoundedBooleanOracle(base, 2.0, seed=3)
     xs = np.arange(1 << n, dtype=np.uint64)
     got = f.query_many(xs)
     # per-point expectation is vals/B; check in coarse buckets

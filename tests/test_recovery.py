@@ -188,6 +188,18 @@ def test_find_quadratic_noisy_small():
     assert res.correlation_estimate >= 0.12
 
 
+@pytest.mark.parametrize("n, attempts, overrides, budget", [
+    (6, 1, {}, 18097878000),
+    (8, 3, {}, 70611395024),
+    (10, 1, {}, 73968647664),
+    (8, 2, dict(epsilon=0.25, r=12, k_cap=128), 16300915680),
+])
+def test_practical_query_budget_pinned(n, attempts, overrides, budget):
+    # the budget reads the settings that are constants where they are
+    # used; a changed constant moves it
+    assert practical_query_budget(n, attempts, **overrides) == budget
+
+
 def test_query_budget_audit():
     rng = np.random.default_rng(11)
     q = random_quadratic_phase(8, rng)
@@ -219,12 +231,23 @@ def test_all_accepted_harvest_does_not_stop_below_rank_n():
     assert res is not None and res.phase == q
 
 
-@pytest.mark.parametrize("finder", [find_quadratic, find_quadratic_average])
-def test_unknown_knob_is_refused_before_any_query(finder):
+# settings that are constants where they are read, so no finder takes
+# them as knobs
+REMOVED_KNOBS = ("phi_gamma", "gate_cap", "anchors_per_sampler", "interval",
+                 "int_t_bucket", "bog_noise_z", "sigma", "presample")
+
+
+@pytest.mark.parametrize("finder, name", [
+    pytest.param(finder, name, id=finder.__name__ + (name and "-" + name))
+    for finder in (find_quadratic, find_quadratic_average)
+    for name in ("",) + REMOVED_KNOBS])
+def test_unknown_knob_is_refused_before_any_query(finder, name):
+    # the bare case is a misspelt knob
+    name = name or "tau_acept"
     q = random_quadratic_phase(5, np.random.default_rng(13))
     orc = q.as_oracle()
-    with pytest.raises(ValueError, match="tau_acept"):
-        finder(orc, 0.5, 0.05, np.random.default_rng(0), tau_acept=0.99)
+    with pytest.raises(ValueError, match=name):
+        finder(orc, 0.5, 0.05, np.random.default_rng(0), **{name: 0.99})
     assert orc.query_count == 0
 
 
