@@ -24,7 +24,7 @@ import numpy as np
 
 from .gf2 import parity_many
 from .functions import (FunctionOracle, hoeffding_samples, query_product,
-                        rand_points)
+                        rand_points, unit_table)
 from .fourier import goldreich_levin
 
 
@@ -94,11 +94,23 @@ class PhiSampler:
 def estimate_derivative_coefficient(f: FunctionOracle, x: int, alpha: int,
                                     t: int, rng) -> float:
     """Empirical f_hat_x(alpha) = E_y f(y) f(x+y) (-1)^(<alpha,y>) from
-    t samples (2t queries to f)."""
+    t samples (2t queries to f).
+
+    When f gives a ``unit_table`` and 2^n <= t, the draws are binned per
+    point and summed against the table's products f(y) f(x+y): the same
+    float as the per-sample sums, which are exact integers there."""
     ys = rand_points(rng, f.n, t)
-    vals = query_product(f.query_many, ys, ys ^ np.uint64(x))
-    par = parity_many(ys & np.uint64(alpha)).astype(np.float64)
-    return float(vals.mean() - 2.0 * (vals @ par) / t)
+    table = unit_table(f, f.n, t)
+    if table is None:
+        vals = query_product(f.query_many, ys, ys ^ np.uint64(x))
+        par = parity_many(ys & np.uint64(alpha)).astype(np.float64)
+        return float(vals.mean() - 2.0 * (vals @ par) / t)
+    f._charge(2 * t)
+    points = np.arange(1 << f.n, dtype=np.uint64)
+    sums = np.bincount(ys.view(np.intp), minlength=1 << f.n) \
+        * (table * table[(points ^ np.uint64(x)).view(np.intp)])
+    return float(sums.sum() / t
+                 - 2.0 * (sums @ parity_many(points & np.uint64(alpha))) / t)
 
 
 @dataclass(frozen=True)
@@ -140,6 +152,11 @@ class BsgParams:
             raise ValueError("threshold structure violated")
 
 
+# the practical profile's sample counts: outer and inner sandwich draws, and
+# samples per coefficient estimate
+PRACTICAL_R, PRACTICAL_S, PRACTICAL_T_EDGE = 24, 24, 2048
+
+
 def choose_bsg_params(epsilon: float | None, rng, profile: str = "practical", *,
                       rho: float | None = None,
                       r: int | None = None, s: int | None = None,
@@ -162,9 +179,9 @@ def choose_bsg_params(epsilon: float | None, rng, profile: str = "practical", *,
             raise ValueError("epsilon out of range")
         rho_v = rho if rho is not None else 0.2
         lo, hi = 0.05, 0.15
-        r_v = r if r is not None else 24
-        s_v = s if s is not None else 24
-        t_v = t_edge if t_edge is not None else 2048
+        r_v = r if r is not None else PRACTICAL_R
+        s_v = s if s is not None else PRACTICAL_S
+        t_v = t_edge if t_edge is not None else PRACTICAL_T_EDGE
     else:
         raise ValueError(f"unknown profile {profile!r}")
     n_sub = max(1, round(4.0 / rho_v ** 2))

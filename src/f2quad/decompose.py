@@ -26,19 +26,10 @@ import math
 import numpy as np
 
 from .functions import (FunctionOracle, estimate_correlation,
-                        ValueTable, hoeffding_samples, rand_points)
+                        ValueTable, hoeffding_samples, rand_points, tabled)
 from .fourier import estimate_u3, u3_power_gate
 from .recovery import PRACTICAL_DEFAULTS, find_quadratic, resolve_knobs
 from .model import AVERAGE_DEFAULTS, find_quadratic_average
-
-
-def _tabled(oracle, kernel, xs: np.ndarray) -> np.ndarray:
-    """kernel(xs) through the oracle's value table.  A point at or above
-    2^n bypasses the table, so the oracles beneath decide what it means
-    (a ``TableOracle`` root raises IndexError)."""
-    if xs.size and int(xs.max()) >> oracle.n:
-        return kernel(xs)
-    return oracle._table(kernel, xs)
 
 
 class ResidualOracle(FunctionOracle):
@@ -47,8 +38,9 @@ class ResidualOracle(FunctionOracle):
     Each query is one query of g.  At n <= MAX_TABLE_N the residual's
     own values fill a ``ValueTable`` once the points asked for reach 2^n,
     and every later query is one gather; until then, and above n = 16,
-    g and the terms are evaluated pointwise.  `raw_many` exposes the
-    unclamped h for the truncation-error term e = h - clamp(h).
+    g and the terms are evaluated pointwise.  Reading ``table`` fills it
+    at once when g gives a table.  `raw_many` exposes the unclamped h for
+    the truncation-error term e = h - clamp(h).
     """
 
     reads = (("g", 1),)
@@ -78,7 +70,12 @@ class ResidualOracle(FunctionOracle):
         return np.clip(vals, -self.bound, self.bound, out=vals)
 
     def _evaluate(self, xs):
-        return _tabled(self, self._clamped, xs)
+        return tabled(self, self._clamped, xs)
+
+    def table(self):
+        if self.g.table() is None:
+            return None
+        return self._table.full(self._clamped)
 
 
 class RoundedBooleanOracle(FunctionOracle):
@@ -89,8 +86,10 @@ class RoundedBooleanOracle(FunctionOracle):
     queries are consistent without unbounded storage.  The draw reads
     the low n bits of x.  Each query is one query of the base.  At n <=
     MAX_TABLE_N the rounded values fill a ``ValueTable`` once the points
-    asked for reach 2^n.  A point whose base value is NaN or exceeds B
-    rounds to NaN, and the query that reads it raises ValueError.
+    asked for reach 2^n, or when ``table`` is read and the base gives a
+    table.  A point whose base value is NaN or exceeds B rounds to NaN,
+    and the query that reads it raises ValueError (the table keeps the
+    NaN, which sends the estimators to their sampled path).
     """
 
     reads = (("base", 1),)
@@ -121,11 +120,16 @@ class RoundedBooleanOracle(FunctionOracle):
         return out
 
     def _evaluate(self, xs):
-        out = _tabled(self, self._rounded, xs)
+        out = tabled(self, self._rounded, xs)
         if np.isnan(out).any():
             raise ValueError("base oracle exceeds the stated bound or "
                              "returned NaN")
         return out
+
+    def table(self):
+        if self.base.table() is None:
+            return None
+        return self._table.full(self._rounded)
 
 
 @dataclass

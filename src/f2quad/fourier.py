@@ -13,6 +13,21 @@ set of masks (`_signed_means`); the sampled words lie below 2^level
 as words the samples are first summed per word and the parity matrix
 spans the words, not the samples.
 
+When the oracle hands over a ``unit_table`` (all 2^n values, each -1, 0
+or 1; n <= 16) and the cells a draw falls in number no more than the
+sample count t (2^(n+level) pairs for a bucket level, 2^n points for the
+leaves), the draws are instead binned into those cells with one
+np.bincount and each cell's count multiplies the table's value there.
+The draws, their order and the queries charged are those of the sampled
+path, and on such a table every per-word sum is an exact integer below
+2^24, so the float32 arithmetic that follows gives bit-identical
+estimates; the noise floor's standard deviation is taken from the same
+per-sample values, gathered from the cells.  The binned path allocates
+no array larger than the t-entry sample arrays it replaces.  The
+sampled path stays the reference and serves everything else: subspace
+Goldreich-Levin, real-valued or NaN-holding tables, the levels where
+2^(n+level) > t, and n > 16.
+
 The U^3 estimator draws its parallelepipeds 2^20 at a time, into four
 uint64 arrays plus one float64 product array (about 40 MB), and
 evaluates them in blocks of 2^12, one oracle call per block.  Like
@@ -33,7 +48,7 @@ import numpy as np
 
 from .gf2 import SubspaceF2, combine_many, solve_linear_system
 from .functions import (FunctionOracle, TruthTable, hoeffding_samples,
-                        query_product, rand_points)
+                        query_product, rand_points, unit_table)
 
 EXACT_TOL = 1e-9
 U3_EXACT_MAX_N = 14
@@ -206,8 +221,11 @@ def estimate_u3(f: FunctionOracle, gamma: float, delta: float, rng, *,
     return max(mean, 0.0) ** 0.125
 
 
+GATE_T_CAP = 1 << 26  # the gate's default cap on parallelepiped samples
+
+
 def u3_power_gate(f: FunctionOracle, threshold_norm: float, rng, *,
-                  t_start: int = 1 << 14, t_cap: int = 1 << 26,
+                  t_start: int = 1 << 14, t_cap: int = GATE_T_CAP,
                   margin_z: float = 4.0) -> bool:
     """Sequential test of ||f||_{U3}^8 >= threshold_norm^8.
 
@@ -246,6 +264,28 @@ def u3_power_gate(f: FunctionOracle, threshold_norm: float, rng, *,
 MAX_GL_SAMPLES = 1 << 24  # _signed_means is exact below this many samples
 
 
+def _parities(words: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """(-1)^<word, mask> as the float32 bit <word, mask>, words x masks."""
+    return (np.bitwise_count(words[:, None] & masks[None, :])
+            & np.uint8(1)).astype(np.float32)
+
+
+def _word_means(mean32, sums: np.ndarray, masks: np.ndarray,
+                t: int) -> np.ndarray:
+    """The signed means of t samples from their float32 mean and the
+    float64 sum of the samples at each word 0 .. len(sums) - 1."""
+    words = np.arange(len(sums), dtype=np.uint64)
+    return (mean32 - 2.0 * (sums.astype(np.float32) @ _parities(words, masks))
+            / t).astype(np.float64)
+
+
+def _binned_mean32(total: float, t: int):
+    """The float32 mean numpy takes of t float32 samples whose sum is the
+    exact integer `total`: numpy divides the float32 sum by an intp
+    count, in float64, and rounds the quotient to float32."""
+    return np.float32(total / t)
+
+
 def _signed_means(vals: np.ndarray, words: np.ndarray, masks: np.ndarray,
                   bits: int) -> np.ndarray:
     """mean_t vals[t] * (-1)^(<words[t], masks[j]>) for every mask j, with
@@ -263,37 +303,69 @@ def _signed_means(vals: np.ndarray, words: np.ndarray, masks: np.ndarray,
     t = len(vals)
     v32 = vals.astype(np.float32)
     if (1 << bits) <= t:
-        weights = np.bincount(words.astype(np.intp), weights=vals,
-                              minlength=1 << bits).astype(np.float32)
-        words = np.arange(1 << bits, dtype=np.uint64)
-    else:
-        weights = v32
-    par = (np.bitwise_count(words[:, None] & masks[None, :])
-           & np.uint8(1)).astype(np.float32)
-    return (v32.mean() - 2.0 * (weights @ par) / t).astype(np.float64)
+        sums = np.bincount(words.astype(np.intp), weights=vals,
+                           minlength=1 << bits)
+        return _word_means(v32.mean(), sums, masks, t)
+    return (v32.mean() - 2.0 * (v32 @ _parities(words, masks)) / t
+            ).astype(np.float64)
 
 
-def _bucket_weight_estimates(query, n, level, buckets, t, rng):
-    """Estimated squared Fourier mass of each bucket at one tree level.
+def _bucket_weight_estimates(query, n, level, buckets, t, rng, *,
+                             oracle=None, spread=False):
+    """Estimated squared Fourier mass of each bucket at one tree level,
+    and the standard deviation of the samples when `spread` is set.
 
     Bucket (level, a) holds the characters whose low `level` bits equal
     a.  One shared draw serves every bucket: with x, y agreeing above
     the level and random below, E f(x) f(y) (-1)^(<a, x^y>) is exactly
-    the bucket weight.
+    the bucket weight.  A pair is fixed by x and the low bits of y, so
+    when the oracle gives a ``unit_table`` over those 2^(n+level) cells,
+    the same draws are folded in place into one cell index per pair and
+    binned, and each cell's count multiplies the table's f(x) f(y): the
+    same floats as the sampled path, with the same 2t queries charged.
     """
     lo = np.uint64(level)
-    xl = rng.integers(0, 1 << level, size=t, dtype=np.uint64)
-    yl = rng.integers(0, 1 << level, size=t, dtype=np.uint64)
-    zh = rng.integers(0, 1 << (n - level), size=t, dtype=np.uint64) << lo \
-        if level < n else np.zeros(t, dtype=np.uint64)
-    vals = query_product(query, xl | zh, yl | zh)
     b = np.asarray(buckets, dtype=np.uint64)
-    return _signed_means(vals, xl ^ yl, b, level), vals
+    table = None if oracle is None else unit_table(oracle, n + level, t)
+    if table is None:
+        xl = rng.integers(0, 1 << level, size=t, dtype=np.uint64)
+        yl = rng.integers(0, 1 << level, size=t, dtype=np.uint64)
+        zh = rng.integers(0, 1 << (n - level), size=t, dtype=np.uint64) << lo \
+            if level < n else np.zeros(t, dtype=np.uint64)
+        vals = query_product(query, xl | zh, yl | zh)
+        return (_signed_means(vals, xl ^ yl, b, level),
+                float(np.std(vals)) if spread else None)
+    cells = rng.integers(0, 1 << level, size=t, dtype=np.uint64)  # x low
+    cells <<= lo
+    cells |= rng.integers(0, 1 << level, size=t, dtype=np.uint64)  # y low
+    if level < n:
+        high = rng.integers(0, 1 << (n - level), size=t, dtype=np.uint64)
+        high <<= np.uint64(2 * level)
+        cells |= high
+        del high
+    cells = cells.view(np.intp)  # x << level | y low, below 2^(n+level)
+    oracle._charge(2 * t)
+    side = 1 << level
+    blocks = table.reshape(-1, side)
+    pairs = blocks[:, :, None] * blocks[:, None, :]  # f(x) f(y) per cell
+    counts = np.bincount(cells, minlength=1 << (n + level))
+    by_low = (counts.reshape(pairs.shape) * pairs).sum(axis=0)
+    low = np.arange(side)
+    sums = np.bincount((low[:, None] ^ low[None, :]).ravel(),
+                       weights=by_low.ravel(), minlength=side)
+    est = _word_means(_binned_mean32(sums.sum(), t), sums, b, t)
+    return est, float(np.std(pairs.ravel()[cells])) if spread else None
 
 
-def _coefficient_estimates(query, n, alphas, t, rng):
+def _coefficient_estimates(query, n, alphas, t, rng, *, oracle=None):
     xs = rand_points(rng, n, t)
-    return _signed_means(query(xs), xs, np.asarray(alphas, dtype=np.uint64), n)
+    masks = np.asarray(alphas, dtype=np.uint64)
+    table = None if oracle is None else unit_table(oracle, n, t)
+    if table is None:
+        return _signed_means(query(xs), xs, masks, n)
+    oracle._charge(t)
+    sums = np.bincount(xs.view(np.intp), minlength=1 << n) * table
+    return _word_means(_binned_mean32(sums.sum(), t), sums, masks, t)
 
 
 def _gl_defaults(n, gamma, delta, bound):
@@ -314,8 +386,11 @@ def _reject_nan(est):
 
 
 def _gl_tree(query, n, gamma, delta, rng, *, bound=1.0, t_bucket=None,
-             t_leaf=None, repeats=None, live_cap=None, noise_floor_z=0.0):
-    """Shared Goldreich-Levin core over an arbitrary query map on F_2^n.
+             t_leaf=None, repeats=None, live_cap=None, noise_floor_z=0.0,
+             oracle=None):
+    """Shared Goldreich-Levin core over an arbitrary query map on F_2^n;
+    `oracle`, when given, is the oracle whose query_many `query` is, and
+    its table may serve the estimates.
 
     A NaN estimate raises ``ValueError``: it would fail every threshold
     comparison and end the search with a silently empty list."""
@@ -343,12 +418,13 @@ def _gl_tree(query, n, gamma, delta, rng, *, bound=1.0, t_bucket=None,
             for a in live:
                 children.append(a)
                 children.append(a | (1 << (level - 1)))
-            est, vals = _bucket_weight_estimates(query, n, level, children,
-                                                 t_bucket, rng)
+            est, sd = _bucket_weight_estimates(
+                query, n, level, children, t_bucket, rng, oracle=oracle,
+                spread=noise_floor_z > 0.0)
             _reject_nan(est)
             keep = threshold
             if noise_floor_z > 0.0:
-                se = float(np.std(vals)) / math.sqrt(t_bucket)
+                se = sd / math.sqrt(t_bucket)
                 keep = max(keep, noise_floor_z * se)
             order = np.argsort(-est, kind="stable")
             live = [children[i] for i in order[:live_cap] if est[i] >= keep]
@@ -359,7 +435,8 @@ def _gl_tree(query, n, gamma, delta, rng, *, bound=1.0, t_bucket=None,
     if not candidates:
         return []
     alphas = sorted(candidates)
-    coeffs = _coefficient_estimates(query, n, alphas, t_leaf, rng)
+    coeffs = _coefficient_estimates(query, n, alphas, t_leaf, rng,
+                                    oracle=oracle)
     _reject_nan(coeffs)
     out = [(a, float(c)) for a, c in zip(alphas, coeffs) if abs(c) >= gamma / 2.0]
     out.sort(key=lambda t_: (-abs(t_[1]), t_[0]))
@@ -381,7 +458,7 @@ def goldreich_levin(f: FunctionOracle, gamma: float, delta: float, rng, *,
     """
     return _gl_tree(f.query_many, f.n, gamma, delta, rng, bound=f.bound,
                     t_bucket=t_bucket, t_leaf=t_leaf, repeats=repeats,
-                    live_cap=live_cap, noise_floor_z=noise_floor_z)
+                    live_cap=live_cap, noise_floor_z=noise_floor_z, oracle=f)
 
 
 def goldreich_levin_subspace(f: FunctionOracle, W: SubspaceF2, gamma: float,

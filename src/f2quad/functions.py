@@ -41,6 +41,14 @@ compare the tables against.
 A ``TableOracle`` answers the points 0 .. 2^n - 1 and raises IndexError
 for every point at or above 2^n; an oracle built over one keeps that
 error, because it leaves such points to the oracles beneath it.
+
+``FunctionOracle.table`` hands the sampled estimators all 2^n values at
+once, when they can be had without side effects: from a table oracle, a
+quadratic phase or average behind ``as_oracle``, and a derivative,
+product, residual or rounding oracle whose every input gives one.  A
+``CallableOracle`` over an arbitrary function gives none.  Reading a
+table is not a query; ``unit_table`` is the one accessor the estimators
+use (see ``fourier``).
 """
 
 from __future__ import annotations
@@ -88,6 +96,7 @@ class FunctionOracle:
     """
 
     reads: tuple[tuple[str, int], ...]  # no default: every class declares
+    _unit_checked = None  # the last table unit_table accepted
 
     def __init__(self, n: int, bound: float = 1.0):
         check_dim(n, MAX_ORACLE_N)
@@ -111,6 +120,12 @@ class FunctionOracle:
     def _evaluate(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def table(self) -> np.ndarray | None:
+        """The values at 0 .. 2^n - 1, equal to ``_evaluate`` there, or
+        None when they cannot be had without side effects.  Counts
+        nothing."""
+        return None
+
 
 class TableOracle(FunctionOracle):
     reads = ()
@@ -127,26 +142,37 @@ class TableOracle(FunctionOracle):
             raise IndexError(f"point out of range for n = {self.n}")
         return self._values[xs.view(np.int64)]
 
+    def table(self):
+        return self._values
+
 
 class CallableOracle(FunctionOracle):
     """Oracle from a vectorized evaluator ``fn(uint64 array) -> float64``.
 
-    A leaf: whatever ``fn`` queries is counted by ``fn`` itself."""
+    A leaf: whatever ``fn`` queries is counted by ``fn`` itself.  It
+    gives a table only through ``table``, a function returning fn's
+    2^n values (or None), which the owner of a pure ``fn`` passes."""
 
     reads = ()
 
-    def __init__(self, fn, n: int, bound: float = 1.0):
+    def __init__(self, fn, n: int, bound: float = 1.0, table=None):
         super().__init__(n, bound)
         self._fn = fn
+        self._values_of = table
 
     def _evaluate(self, xs):
         return np.asarray(self._fn(xs), dtype=np.float64)
+
+    def table(self):
+        return None if self._values_of is None else self._values_of()
 
 
 class DerivativeOracle(FunctionOracle):
     """f_x(y) = f(y) f(x + y): the multiplicative derivative of f at x.
 
-    Each query is two base queries (counted on the base oracle).
+    Each query is two base queries (counted on the base oracle).  Its
+    values fill a ``ValueTable`` once the points asked for reach 2^n, or
+    when ``table`` is read and the base gives one.
     """
 
     reads = (("base", 2),)
@@ -155,9 +181,18 @@ class DerivativeOracle(FunctionOracle):
         super().__init__(base.n, base.bound ** 2)
         self.base = base
         self.shift = int(shift)
+        self._table = ValueTable(self.n)
+
+    def _product(self, xs):
+        return query_product(self.base._evaluate, xs, xs ^ np.uint64(self.shift))
 
     def _evaluate(self, xs):
-        return query_product(self.base._evaluate, xs, xs ^ np.uint64(self.shift))
+        return tabled(self, self._product, xs)
+
+    def table(self):
+        if self.base.table() is None:
+            return None
+        return self._table.full(self._product)
 
 
 class ProductOracle(FunctionOracle):
@@ -172,6 +207,10 @@ class ProductOracle(FunctionOracle):
 
     def _evaluate(self, xs):
         return self.f._evaluate(xs) * self.g._evaluate(xs)
+
+    def table(self):
+        f, g = self.f.table(), self.g.table()
+        return None if f is None or g is None else f * g
 
 
 def derivative(f: FunctionOracle, x: int) -> DerivativeOracle:
@@ -260,8 +299,44 @@ class ValueTable:
             self._asked += xs.size
             if self.n > MAX_TABLE_N or self._asked < 1 << self.n:
                 return kernel(xs)
-            self.values = kernel(np.arange(1 << self.n, dtype=np.uint64))
+            self.full(kernel)
         return self.values[(xs & np.uint64(len(self.values) - 1)).view(np.int64)]
+
+    def full(self, kernel) -> np.ndarray | None:
+        """All 2^n values, filling the table now if it is empty; None
+        above MAX_TABLE_N."""
+        if self.values is None and self.n <= MAX_TABLE_N:
+            self.values = kernel(np.arange(1 << self.n, dtype=np.uint64))
+        return self.values
+
+
+def tabled(oracle, kernel, xs: np.ndarray) -> np.ndarray:
+    """kernel(xs) through the oracle's value table ``_table``.  A point at
+    or above 2^n bypasses the table, so the oracles beneath decide what
+    it means (a ``TableOracle`` root raises IndexError)."""
+    if xs.size and int(xs.max()) >> oracle.n:
+        return kernel(xs)
+    return oracle._table(kernel, xs)
+
+
+def unit_table(f: FunctionOracle, bins: int, t: int) -> np.ndarray | None:
+    """f's table, for an estimator that bins t draws over 2^bins cells,
+    when 2^bins <= t, n <= MAX_TABLE_N and every value is -1, 0 or 1;
+    else None.  On such a table every sum of at most 2^24 sample
+    products is an exact integer, in float32 as in float64, so binned
+    sums equal the per-sample ones bit for bit.  A NaN anywhere in the
+    table leaves the sampled path, which raises only when a draw reads
+    it.  The check runs once per table array: tables are not written
+    after they are handed out."""
+    if (1 << bins) > t or f.n > MAX_TABLE_N:
+        return None
+    values = f.table()
+    if values is not None and values is not f._unit_checked:
+        mag = np.abs(values)
+        if not np.all((mag == 1.0) | (mag == 0.0)):
+            return None
+        f._unit_checked = values
+    return values
 
 
 # -- quadratic phases ----------------------------------------------------------
@@ -352,12 +427,17 @@ class QuadraticPhase:
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         return self._table(self._kernel, xs)
 
+    def values(self) -> np.ndarray | None:
+        """All 2^n values from the value table (None above MAX_TABLE_N)."""
+        return self._table.full(self._kernel)
+
     def truth_table(self) -> TruthTable:
         xs = np.arange(1 << self.n, dtype=np.uint64)
         return TruthTable(self.eval_many(xs), self.n)
 
     def as_oracle(self) -> CallableOracle:
-        return CallableOracle(self.eval_many, self.n, bound=1.0)
+        return CallableOracle(self.eval_many, self.n, bound=1.0,
+                              table=self.values)
 
     def negated(self) -> "QuadraticPhase":
         return QuadraticPhase(self.M, self.alpha, self.c ^ 1, self.n)
@@ -419,6 +499,10 @@ class QuadraticAverage:
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         return self._table(self._kernel, xs)
 
+    def values(self) -> np.ndarray | None:
+        """All 2^n values from the value table (None above MAX_TABLE_N)."""
+        return self._table.full(self._kernel)
+
     def _kernel(self, xs: np.ndarray) -> np.ndarray:
         xs = xs & np.uint64((1 << self.n) - 1)
         reps = self.W.canonical_rep_many(xs)
@@ -436,7 +520,8 @@ class QuadraticAverage:
         return TruthTable(self.eval_many(xs), self.n)
 
     def as_oracle(self) -> CallableOracle:
-        return CallableOracle(self.eval_many, self.n, bound=1.0)
+        return CallableOracle(self.eval_many, self.n, bound=1.0,
+                              table=self.values)
 
     def negated(self) -> "QuadraticAverage":
         flipped = {y: (l, c ^ 1) for y, (l, c) in self.coset_terms.items()}

@@ -100,6 +100,7 @@ class ModelMembership:
         self.rng = rng
         self.n = sampler.n
         self._memo = np.full(1 << self.n, -1, dtype=np.int8)
+        self._values = None  # the verdicts as floats, once all are decided
         self.evaluations = 0
 
     def query(self, x: int) -> int:
@@ -112,14 +113,27 @@ class ModelMembership:
         return int(self._memo[x])
 
     def query_many(self, xs: np.ndarray) -> np.ndarray:
-        miss = np.unique(xs[self._memo[xs] < 0])
-        for x in miss:
-            self.query(int(x))
-        return self._memo[xs].astype(np.float64)
+        """Verdicts at xs, as floats; the undecided points among xs are
+        decided first, in increasing order."""
+        got = self._memo[xs]
+        undecided = got < 0
+        if undecided.any():
+            miss = xs[undecided]
+            for x in np.unique(miss):
+                self.query(int(x))
+            got[undecided] = self._memo[miss]
+        return got.astype(np.float64)
+
+    def table(self) -> np.ndarray | None:
+        """Every verdict as 0.0/1.0 once all 2^n points are decided, else
+        None (deciding a point draws from the rng)."""
+        if self._values is None and self.evaluations == len(self._memo):
+            self._values = self._memo.astype(np.float64)
+        return self._values
 
     def as_oracle(self) -> FunctionOracle:
-        orc = CallableOracle(self.query_many, self.n, bound=1.0)
-        return orc
+        return CallableOracle(self.query_many, self.n, bound=1.0,
+                              table=self.table)
 
     def accepted(self) -> np.ndarray:
         return np.flatnonzero(self._memo == 1).astype(np.uint64)

@@ -21,8 +21,9 @@ from .gf2 import (MatF2, SpanBuilder, SubspaceF2,
                   row_reduce, solve_linear_system, symmetric_split)
 from .functions import (FunctionOracle, ProductOracle, QuadraticPhase,
                         estimate_correlation, hoeffding_samples)
-from .fourier import goldreich_levin, u3_power_gate
-from .bsg import BsgParams, PhiSampler, bsg_test, choose_bsg_params
+from .fourier import GATE_T_CAP, goldreich_levin, u3_power_gate
+from .bsg import (PRACTICAL_R, PRACTICAL_S, PRACTICAL_T_EDGE, BsgParams,
+                  PhiSampler, bsg_test, choose_bsg_params)
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,18 @@ class FindQuadraticResult:
     queries: int
 
 
+SCREEN_TRIES = 400  # anchor draws screen_anchor makes at most
+
+
+def linear_map_cap(n: int) -> int:
+    """find_linear_map's default cap on draws: beyond a few multiples of
+    2^n the memoized choice pool is exhausted and further draws only
+    repeat it."""
+    return min(12000, 4 << n)
+
+
 def screen_anchor(sampler: PhiSampler, gamma: float, rng, *,
-                  max_tries: int = 400, streak_abort: int = 48,
+                  max_tries: int = SCREEN_TRIES, streak_abort: int = 48,
                   best_of: int = 8):
     """Draw an anchor vertex u = (x, phi(x)) whose character came from
     the decomposition list with coefficient estimate >= gamma, keeping
@@ -95,9 +106,7 @@ def find_linear_map(sampler: PhiSampler, params: BsgParams, rng, *,
     # a small accepted harvest is still useful to the pooling driver;
     # the floor only rejects draws that accept close to nothing
     t_req = t_min if t_min is not None else 6
-    # beyond a few multiples of 2^n the memoized choice pool is
-    # exhausted and further draws only repeat it
-    cap = k_cap if k_cap is not None else min(12000, 4 << n)
+    cap = k_cap if k_cap is not None else linear_map_cap(n)
     warmup = min(warmup, cap)
     if u is None:
         u = screen_anchor(sampler, params.gamma1, rng)
@@ -288,24 +297,25 @@ def practical_query_budget(n: int, attempts: int, **overrides) -> int:
     3 coefficient estimates at 2 t_edge queries each; integration and
     validation add one decomposition at the integration counts plus the
     correlation samples.  The gate contributes at most 8 doubled stages
-    of its default cap, 2^26.
+    of its default cap, GATE_T_CAP.  Every default above is read from the
+    constant its owner uses.
     """
     epsilon = overrides.pop("epsilon", 0.1)
     k = resolve_knobs(PRACTICAL_DEFAULTS, overrides)
     _, _, gl = phi_knobs(epsilon)
-    r = k["r"] or 24
-    s = k["s"] or 24
-    t_edge = k["t_edge"] or 2048
-    k_cap = k["k_cap"] or min(12000, 4 << n)
+    r = k["r"] or PRACTICAL_R
+    s = k["s"] or PRACTICAL_S
+    t_edge = k["t_edge"] or PRACTICAL_T_EDGE
+    k_cap = k["k_cap"] or linear_map_cap(n)
     gl_cost = 4 * (n * gl["t_bucket"] * gl["repeats"] + gl["t_leaf"])
-    gl_calls = min(1 << (n + 1), 2 * k_cap + 400)
+    gl_calls = min(1 << (n + 1), 2 * k_cap + SCREEN_TRIES)
     per_draw_tests = (2 + r + 2 * r * s) * 3 * 2 * t_edge
     int_cost = 4 * (n * INTEGRATE_GL["t_bucket"] * INTEGRATE_GL["repeats"]
                     + INTEGRATE_GL["t_leaf"])
     validate = hoeffding_samples(VALIDATE_GAMMA, VALIDATE_DELTA) * 2
-    per_attempt = gl_calls * gl_cost + (k_cap + 400) * per_draw_tests \
-        + 2 * int_cost + 2 * validate
-    gate = 16 * (1 << 26) * 8
+    per_attempt = gl_calls * gl_cost \
+        + (k_cap + SCREEN_TRIES) * per_draw_tests + 2 * int_cost + 2 * validate
+    gate = 16 * GATE_T_CAP * 8
     return gate + attempts * per_attempt
 
 

@@ -259,15 +259,57 @@ def test_estimate_derivative_coefficient_concentrates():
     assert abs(abs(est) - 1.0) < 1e-12  # pure phase: every sample is +-1
 
 
+def derivative_reference_oracles(kind, n):
+    """Two fresh oracles of one kind with the same values; every kind but
+    "real" gives a table of -1/0/1 values."""
+    rng = np.random.default_rng(16)
+    if kind == "phase":
+        q = random_quadratic_phase(n, rng)
+        return q.as_oracle(), q.truth_table().as_oracle()
+    if kind == "sign":
+        vals = random_boolean_table(n, rng).values
+    elif kind == "indicator":
+        vals = (rng.random(1 << n) < 0.3).astype(np.float64)
+    else:
+        vals = rng.uniform(-1.0, 1.0, size=1 << n)
+    return TableOracle(vals, n), TableOracle(vals, n)
+
+
 def test_estimate_derivative_coefficient_matches_two_call_reference():
-    tt = random_boolean_table(9, np.random.default_rng(16))
-    f, ref = tt.as_oracle(), tt.as_oracle()
-    x, alpha, t = 0x0f3, 0x155, 777
-    got = estimate_derivative_coefficient(f, x, alpha, t,
-                                          np.random.default_rng(17))
-    rng = np.random.default_rng(17)
-    ys = rand_points(rng, 9, t)
-    vals = ref.query_many(ys) * ref.query_many(ys ^ np.uint64(x))
-    par = parity_many(ys & np.uint64(alpha)).astype(np.float64)
-    assert got == float(vals.mean() - 2.0 * (vals @ par) / t)
-    assert f.query_count == ref.query_count == 2 * t
+    # at 2^9 <= t a table of -1/0/1 values is binned, never read per
+    # sample; the two-call per-sample product stays the reference on
+    # every path, bit for bit, with the same queries and draws
+    n, x, alpha = 9, 0x0f3, 0x155
+    for kind in ("sign", "indicator", "phase", "real"):
+        for t in (777, 512, 511, 40):
+            f, ref = derivative_reference_oracles(kind, n)
+            reads = []
+            evaluate = f._evaluate
+            f._evaluate = lambda xs: reads.append(xs.size) or evaluate(xs)
+            got_rng = np.random.default_rng(17)
+            got = estimate_derivative_coefficient(f, x, alpha, t, got_rng)
+            rng = np.random.default_rng(17)
+            ys = rand_points(rng, n, t)
+            vals = ref.query_many(ys) * ref.query_many(ys ^ np.uint64(x))
+            par = parity_many(ys & np.uint64(alpha)).astype(np.float64)
+            want = float(vals.mean() - 2.0 * (vals @ par) / t)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert f.query_count == ref.query_count == 2 * t
+            assert got_rng.bit_generator.state == rng.bit_generator.state
+            assert (reads == []) == (kind != "real" and t >= 1 << n)
+
+
+def test_estimate_derivative_coefficient_reads_nan_only_where_drawn():
+    n, t, x = 6, 64, 5
+    ys = rand_points(np.random.default_rng(3), n, t)
+    read = np.union1d(ys, ys ^ np.uint64(x))
+    unread = int(np.setdiff1d(np.arange(1 << n), read)[0])
+    vals = random_boolean_table(n, np.random.default_rng(4)).values
+    want = estimate_derivative_coefficient(TableOracle(vals, n), x, 9, t,
+                                           np.random.default_rng(3))
+    for point, finite in ((unread, True), (int(ys[0]), False)):
+        poisoned = vals.copy()
+        poisoned[point] = np.nan
+        got = estimate_derivative_coefficient(TableOracle(poisoned, n), x, 9,
+                                              t, np.random.default_rng(3))
+        assert (got == want) if finite else np.isnan(got)

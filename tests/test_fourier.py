@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from f2quad.gf2 import SubspaceF2, dot, dot_many, sign_many
-from f2quad.functions import (TableOracle, TruthTable, planted_sign_mixture,
-                              rand_points, random_boolean_table,
-                              random_quadratic_phase)
-from f2quad.fourier import (_signed_means, estimate_u3, exact_u2, exact_u3,
+from f2quad.functions import (DerivativeOracle, ProductOracle, TableOracle,
+                              TruthTable, planted_sign_mixture, rand_points,
+                              random_boolean_table, random_quadratic_phase)
+from f2quad.fourier import (_binned_mean32, _bucket_weight_estimates,
+                            _coefficient_estimates, _gl_tree, _signed_means,
+                            _word_means, estimate_u3, exact_u2, exact_u3,
                             exact_u_norm, fwht, goldreich_levin,
                             goldreich_levin_subspace, spectrum_to_table,
                             u3_power_gate, u3_power_mean, u3_sample_count,
@@ -350,7 +352,14 @@ def test_signed_means_matches_per_sample_reference(t, bits, kind):
         vals = 1.0 - 2.0 * vals
     got = _signed_means(vals, words, masks, bits)
     assert got.dtype == np.float64
-    assert np.array_equal(got, per_sample_signed_means(vals, words, masks))
+    want = per_sample_signed_means(vals, words, masks)
+    assert np.array_equal(got, want)
+    if (1 << bits) <= t:
+        # the binned path's float32 mean, from the exact integer sum
+        sums = np.bincount(words.astype(np.intp), weights=vals,
+                           minlength=1 << bits)
+        binned = _word_means(_binned_mean32(sums.sum(), t), sums, masks, t)
+        assert binned.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("t,bits", [(4096, 6), (100, 8)])
@@ -362,6 +371,121 @@ def test_signed_means_real_values(t, bits):
     signs = 1.0 - 2.0 * (np.bitwise_count(words[:, None] & masks[None, :]) & 1)
     want = np.mean(vals[:, None] * signs, axis=0)
     assert np.max(np.abs(_signed_means(vals, words, masks, bits) - want)) < 1e-6
+
+
+KINDS = ["sign", "indicator", "phase-derivative", "product", "real"]
+
+
+def estimator_oracle(kind, n=6):
+    """A fresh oracle of one kind and the oracles beneath it.  Every kind
+    but "real" gives a table of -1/0/1 values."""
+    rng = np.random.default_rng(41)
+    root = random_boolean_table(n, rng).as_oracle()
+    q = random_quadratic_phase(n, rng)
+    if kind == "sign":
+        return root, []
+    if kind == "indicator":
+        return TableOracle((rng.random(1 << n) < 0.3).astype(np.float64), n), []
+    if kind == "phase-derivative":
+        base = q.as_oracle()
+        return DerivativeOracle(base, 13), [base]
+    if kind == "product":
+        h = q.as_oracle()
+        return ProductOracle(root, h), [root, h]
+    return TableOracle(rng.uniform(-1.0, 1.0, size=1 << n), n), []
+
+
+def spy_evaluate(f):
+    """Record the size of each _evaluate call: the sampled path reads the
+    oracle there, the binned path reads only its table."""
+    calls = []
+    evaluate = f._evaluate
+    f._evaluate = lambda xs: calls.append(xs.size) or evaluate(xs)
+    return calls
+
+
+def same_counts_and_stream(f, below, ref, ref_below, rng, rng_ref):
+    assert [o.query_count for o in (f, *below)] == \
+        [o.query_count for o in (ref, *ref_below)]
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("level,t", [(1, 128), (1, 127), (3, 600), (3, 511),
+                                     (6, 4096), (6, 4095)])
+def test_bucket_estimates_binned_match_sampled(kind, level, t):
+    # 2^(n+level) at, below and above t; the sampled path is the reference
+    n = 6
+    f, below = estimator_oracle(kind)
+    ref, ref_below = estimator_oracle(kind)
+    calls = spy_evaluate(f)
+    buckets = list(range(min(1 << level, 40)))
+    rng, rng_ref = np.random.default_rng(t), np.random.default_rng(t)
+    got, sd = _bucket_weight_estimates(f.query_many, n, level, buckets, t,
+                                       rng, oracle=f, spread=True)
+    want, sd_ref = _bucket_weight_estimates(ref.query_many, n, level,
+                                            buckets, t, rng_ref, spread=True)
+    assert got.tobytes() == want.tobytes() and sd == sd_ref
+    same_counts_and_stream(f, below, ref, ref_below, rng, rng_ref)
+    assert (calls == []) == (kind != "real" and (1 << (n + level)) <= t)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("t", [64, 63, 1000])
+def test_leaf_estimates_binned_match_sampled(kind, t):
+    n = 6
+    f, below = estimator_oracle(kind)
+    ref, ref_below = estimator_oracle(kind)
+    calls = spy_evaluate(f)
+    alphas = [0, 3, 13, 40, 63]
+    rng, rng_ref = np.random.default_rng(t), np.random.default_rng(t)
+    got = _coefficient_estimates(f.query_many, n, alphas, t, rng, oracle=f)
+    want = _coefficient_estimates(ref.query_many, n, alphas, t, rng_ref)
+    assert got.tobytes() == want.tobytes()
+    same_counts_and_stream(f, below, ref, ref_below, rng, rng_ref)
+    assert (calls == []) == (kind != "real" and 64 <= t)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("noise_floor_z", [0.0, 3.0])
+def test_goldreich_levin_binned_matches_sampled(kind, noise_floor_z):
+    # t_bucket 1500 bins levels 1-4 at n = 6 and samples levels 5-6
+    f, below = estimator_oracle(kind)
+    ref, ref_below = estimator_oracle(kind)
+    rng, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+    counts = dict(t_bucket=1500, t_leaf=1000, repeats=2, live_cap=20,
+                  noise_floor_z=noise_floor_z)
+    got = goldreich_levin(f, 0.15, 0.1, rng, **counts)
+    want = _gl_tree(ref.query_many, ref.n, 0.15, 0.1, rng_ref,
+                    bound=ref.bound, **counts)
+    assert got == want
+    same_counts_and_stream(f, below, ref, ref_below, rng, rng_ref)
+
+
+def test_binned_estimates_read_nan_only_where_drawn():
+    # a NaN anywhere in a table keeps every estimator on the sampled path:
+    # a NaN nobody draws changes nothing, a drawn one raises
+    n, t, alphas = 6, 64, [1, 6, 33]
+    xs = rand_points(np.random.default_rng(9), n, t)
+    undrawn = int(np.setdiff1d(np.arange(1 << n), xs)[0])
+    vals = random_boolean_table(n, np.random.default_rng(10)).values
+    clean = TableOracle(vals, n)
+    want = _coefficient_estimates(clean.query_many, n, alphas, t,
+                                  np.random.default_rng(9), oracle=clean)
+    for point, finite in ((undrawn, True), (int(xs[0]), False)):
+        poisoned = vals.copy()
+        poisoned[point] = np.nan
+        f = TableOracle(poisoned, n)
+        got = _coefficient_estimates(f.query_many, n, alphas, t,
+                                     np.random.default_rng(9), oracle=f)
+        assert f.query_count == clean.query_count == t
+        if finite:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.isnan(got).all()
+    with pytest.raises(ValueError, match="NaN"):
+        goldreich_levin(f, 0.2, 0.05, np.random.default_rng(4),
+                        t_bucket=4096, t_leaf=4096, repeats=1)
 
 
 def test_goldreich_levin_zero_one_table_pinned():

@@ -11,7 +11,8 @@ from f2quad.functions import (CallableOracle, QuadraticAverage, TableOracle,
                               correlation_exact, random_boolean_table,
                               random_quadratic_average,
                               random_quadratic_phase, symmetric_split)
-from f2quad.fourier import derivative_table, exact_u3, wht
+from f2quad.fourier import (_gl_tree, derivative_table, exact_u3,
+                            goldreich_levin, wht)
 from f2quad.bruteforce import SetF2, convolution_power, sumset
 from f2quad.bsg import PhiRecord, PhiSampler, bsg_test, choose_bsg_params
 from f2quad.model import (ModelMembership, ModelParams, bogolyubov,
@@ -111,6 +112,50 @@ def test_model_test_conjunction():
     # accepted probes satisfy the restriction exactly
     assert all(model.gamma_map.mul_vec(phiy) == model.c
                for _, phiy in accepted)
+
+
+def membership_context(decided):
+    n = 6
+    q, sam, params, u, model, rng = phase_context(n, 4, m=1)
+    mem = ModelMembership(sam, u, params, model, rng)
+    mem.query_many(np.arange(decided, dtype=np.uint64))
+    return mem, rng
+
+
+def test_membership_decides_in_increasing_order_once():
+    mem, _ = membership_context(0)
+    order = []
+    query = mem.query
+    mem.query = lambda x: order.append(int(x)) or query(x)
+    xs = np.array([9, 3, 9, 40, 3, 17], dtype=np.uint64)
+    got = mem.query_many(xs)
+    assert order == [3, 9, 17, 40]
+    assert np.array_equal(got, mem._memo[xs.astype(np.int64)].astype(float))
+    assert mem.table() is None
+    mem.query_many(np.arange(64, dtype=np.uint64))
+    assert mem.evaluations == 64 and len(order) == 64
+    assert np.array_equal(mem.table(), mem._memo.astype(np.float64))
+    mem.query_many(xs)
+    assert len(order) == 64  # nothing left to decide
+
+
+@pytest.mark.parametrize("decided", [0, 40, 64])
+def test_membership_goldreich_levin_matches_sampled(decided):
+    # a membership hands over its verdicts only once all are decided;
+    # until then the sampled path decides the drawn points in increasing
+    # order, so the binned path changes no verdict, draw or count
+    mem, rng = membership_context(decided)
+    ref, rng_ref = membership_context(decided)
+    counts = dict(t_bucket=1 << 12, t_leaf=1 << 12, repeats=1, live_cap=48,
+                  noise_floor_z=3.0)
+    got = goldreich_levin(mem.as_oracle(), 0.1, 0.05, rng, **counts)
+    orc = ref.as_oracle()
+    want = _gl_tree(orc.query_many, orc.n, 0.1, 0.05, rng_ref, **counts)
+    assert got == want
+    assert np.array_equal(mem._memo, ref._memo)
+    assert mem.evaluations == ref.evaluations == 64
+    assert mem.sampler.f.query_count == ref.sampler.f.query_count
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_local_linear_choice_exact_phase():

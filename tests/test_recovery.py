@@ -1,6 +1,7 @@
 """Global quadratic-phase recovery pipeline."""
 
 import hashlib
+from inspect import signature
 import zlib
 
 import numpy as np
@@ -14,8 +15,9 @@ from f2quad.functions import (QuadraticPhase, TableOracle, correlation_exact,
 from f2quad.fourier import derivative_table, exact_u3, wht
 from f2quad.bsg import PhiRecord, PhiSampler, choose_bsg_params
 from f2quad.model import find_quadratic_average
+from f2quad import bsg, fourier, recovery
 from f2quad.recovery import (find_linear_map, find_quadratic, integrate,
-                             practical_query_budget, symmetrize)
+                             practical_query_budget, screen_anchor, symmetrize)
 
 PRACTICAL_GL = dict(t_bucket=1536, t_leaf=1024, repeats=1, live_cap=20)
 
@@ -198,6 +200,36 @@ def test_practical_query_budget_pinned(n, attempts, overrides, budget):
     # the budget reads the settings that are constants where they are
     # used; a changed constant moves it
     assert practical_query_budget(n, attempts, **overrides) == budget
+
+
+def test_query_budget_reads_its_owners_defaults(monkeypatch):
+    # each default the budget counts is a named constant its owner also
+    # uses: the owner's default is that constant, and the budget moves
+    # when the constant does
+    params = choose_bsg_params(0.1, np.random.default_rng(0))
+    assert (params.r, params.s, params.t_edge) == \
+        (bsg.PRACTICAL_R, bsg.PRACTICAL_S, bsg.PRACTICAL_T_EDGE)
+    assert signature(screen_anchor).parameters["max_tries"].default \
+        == recovery.SCREEN_TRIES
+    assert signature(fourier.u3_power_gate).parameters["t_cap"].default \
+        == fourier.GATE_T_CAP == recovery.GATE_T_CAP
+    base = practical_query_budget(8, 1)
+    for name in ("PRACTICAL_R", "PRACTICAL_S", "PRACTICAL_T_EDGE",
+                 "SCREEN_TRIES", "GATE_T_CAP"):
+        with monkeypatch.context() as m:
+            m.setattr(recovery, name, getattr(recovery, name) + 1)
+            assert practical_query_budget(8, 1) > base, name
+    # find_linear_map draws at most linear_map_cap(n) points by default
+    rng = np.random.default_rng(3)
+    q = random_quadratic_phase(6, rng)
+    sampler = PhiSampler(q.truth_table().as_oracle(), 0.15, 0.1, rng,
+                         **PRACTICAL_GL)
+    params = choose_bsg_params(None, rng, r=4, s=4, t_edge=256)
+    with monkeypatch.context() as m:
+        m.setattr(recovery, "linear_map_cap", lambda n: 9)
+        assert practical_query_budget(8, 1) < base
+        lm = find_linear_map(sampler, params, rng, t_min=1)
+    assert lm is not None and lm.sampled <= 9
 
 
 def test_query_budget_audit():
