@@ -11,7 +11,7 @@ from .gf2 import (MAX_ENUM_N, MAX_N, MatF2, SubspaceF2, dot, parity,
                   row_reduce, solve_linear_system, symmetric_split)
 from .functions import (FunctionOracle, QuadraticAverage, QuadraticPhase,
                         TruthTable, coherent_quadratic_average,
-                        correlation_exact, derivative, estimate_correlation,
+                        correlation_exact, estimate_correlation,
                         eval_quadratic_phase, hoeffding_samples,
                         make_noisy_codeword, make_noisy_codeword_exact,
                         random_boolean_table, random_quadratic_average,

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2 import parity_many
-from .functions import (FunctionOracle, hoeffding_samples, query_product,
-                        rand_points, unit_table)
+from .functions import (DerivativeOracle, FunctionOracle, hoeffding_samples,
+                        query_product, rand_points, unit_table)
 from .fourier import goldreich_levin
 
 
@@ -62,7 +62,6 @@ class PhiSampler:
         rec = self.memo.get(x)
         if rec is not None:
             return rec
-        from .functions import DerivativeOracle
         terms = goldreich_levin(DerivativeOracle(self.f, x), self.gamma_gl,
                                 self.delta_gl, self.rng, **self.gl_kwargs)
         self.gl_calls += 1
@@ -209,7 +208,8 @@ def edge_test(sampler: PhiSampler, u: tuple[int, int], v: tuple[int, int],
     every conjunct is computed from fresh independent samples, the
     evaluation order does not change the output distribution.  A
     per-call cache may be passed so one vertex is estimated once within
-    a composite test.
+    a composite test.  A NaN coefficient estimate raises ``ValueError``:
+    NaN < gamma is False, so it would pass the edge.
     """
     f = sampler.f
     x, phix = int(u[0]), int(u[1])
@@ -219,6 +219,8 @@ def edge_test(sampler: PhiSampler, u: tuple[int, int], v: tuple[int, int],
         if coeff_cache is not None and p in coeff_cache:
             return coeff_cache[p]
         c = abs(estimate_derivative_coefficient(f, p, alpha, t_edge, rng))
+        if np.isnan(c):
+            raise ValueError("the oracle returned NaN on a coefficient sample")
         if coeff_cache is not None:
             coeff_cache[p] = c
         return c

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .functions import (FunctionOracle, estimate_correlation,
-                        ValueTable, hoeffding_samples, rand_points, tabled)
+                        hoeffding_samples, rand_points)
 from .fourier import estimate_u3, u3_power_gate
 from .recovery import PRACTICAL_DEFAULTS, find_quadratic, resolve_knobs
 from .model import AVERAGE_DEFAULTS, find_quadratic_average
@@ -35,12 +35,8 @@ from .model import AVERAGE_DEFAULTS, find_quadratic_average
 class ResidualOracle(FunctionOracle):
     """The residual clamp(g - sum c_i q_i, -B, B) under oracle access to g.
 
-    Each query is one query of g.  At n <= MAX_TABLE_N the residual's
-    own values fill a ``ValueTable`` once the points asked for reach 2^n,
-    and every later query is one gather; until then, and above n = 16,
-    g and the terms are evaluated pointwise.  Reading ``table`` fills it
-    at once when g gives a table.  `raw_many` exposes the unclamped h for
-    the truncation-error term e = h - clamp(h).
+    Each query is one query of g.  `raw_many` exposes the unclamped h
+    for the truncation-error term e = h - clamp(h).
     """
 
     reads = (("g", 1),)
@@ -49,7 +45,6 @@ class ResidualOracle(FunctionOracle):
         super().__init__(g.n, bound)
         self.g = g
         self.terms = list(terms)
-        self._table = ValueTable(self.n)
 
     def raw_many(self, xs: np.ndarray) -> np.ndarray:
         """h(x) in a fresh array, querying g (whose values are never
@@ -65,17 +60,9 @@ class ResidualOracle(FunctionOracle):
             vals -= coeff * obj.eval_many(xs)
         return vals
 
-    def _clamped(self, xs: np.ndarray) -> np.ndarray:
+    def _kernel(self, xs: np.ndarray) -> np.ndarray:
         vals = self._minus_terms(self.g._evaluate(xs), xs)
         return np.clip(vals, -self.bound, self.bound, out=vals)
-
-    def _evaluate(self, xs):
-        return tabled(self, self._clamped, xs)
-
-    def table(self):
-        if self.g.table() is None:
-            return None
-        return self._table.full(self._clamped)
 
 
 class RoundedBooleanOracle(FunctionOracle):
@@ -84,12 +71,10 @@ class RoundedBooleanOracle(FunctionOracle):
     f~(x) is +1 with probability (1 + f(x)/B)/2, decided by a keyed
     pseudorandom draw per (seed, x) rather than a memo, so repeated
     queries are consistent without unbounded storage.  The draw reads
-    the low n bits of x.  Each query is one query of the base.  At n <=
-    MAX_TABLE_N the rounded values fill a ``ValueTable`` once the points
-    asked for reach 2^n, or when ``table`` is read and the base gives a
-    table.  A point whose base value is NaN or exceeds B rounds to NaN,
-    and the query that reads it raises ValueError (the table keeps the
-    NaN, which sends the estimators to their sampled path).
+    the low n bits of x.  Each query is one query of the base.  A point
+    whose base value is NaN or exceeds B rounds to NaN, and the query
+    that reads it raises ValueError (a value table keeps the NaN, which
+    sends the estimators to their sampled path).
     """
 
     reads = (("base", 1),)
@@ -99,7 +84,6 @@ class RoundedBooleanOracle(FunctionOracle):
         self.base = base
         self.round_bound = float(bound)
         self.seed = np.uint64(seed & ((1 << 64) - 1))
-        self._table = ValueTable(self.n)
 
     def _hash_uniform(self, xs: np.ndarray) -> np.ndarray:
         xs = xs & np.uint64((1 << self.n) - 1)
@@ -110,7 +94,7 @@ class RoundedBooleanOracle(FunctionOracle):
             z ^= z >> np.uint64(31)
         return z.astype(np.float64) / float(1 << 64)
 
-    def _rounded(self, xs: np.ndarray) -> np.ndarray:
+    def _kernel(self, xs: np.ndarray) -> np.ndarray:
         vals = self.base._evaluate(xs)
         p_plus = vals / self.round_bound
         p_plus += 1.0
@@ -120,16 +104,11 @@ class RoundedBooleanOracle(FunctionOracle):
         return out
 
     def _evaluate(self, xs):
-        out = tabled(self, self._rounded, xs)
+        out = super()._evaluate(xs)
         if np.isnan(out).any():
             raise ValueError("base oracle exceeds the stated bound or "
                              "returned NaN")
         return out
-
-    def table(self):
-        if self.base.table() is None:
-            return None
-        return self._table.full(self._rounded)
 
 
 @dataclass

@@ -47,8 +47,9 @@ import math
 import numpy as np
 
 from .gf2 import SubspaceF2, combine_many, solve_linear_system
-from .functions import (FunctionOracle, TruthTable, hoeffding_samples,
-                        query_product, rand_points, unit_table)
+from .functions import (CallableOracle, FunctionOracle, TruthTable,
+                        hoeffding_samples, query_product, rand_points,
+                        unit_table)
 
 EXACT_TOL = 1e-9
 U3_EXACT_MAX_N = 14
@@ -151,18 +152,18 @@ def exact_u_norm(f: TruthTable, k: int) -> float:
     raise ValueError("only k in {2, 3} supported")
 
 
-def u3_sample_count(gamma: float, delta: float, norm_floor: float = 0.45) -> int:
+def u3_sample_count(gamma: float, delta: float) -> int:
     """Parallelepiped samples for |estimate - U^3| <= gamma at 1 - delta.
 
     The mean of 8-point products is the eighth power of the norm, so an
     additive guarantee on the norm itself costs a derivative factor:
     near a norm value u the root map stretches errors by 1/(8 u^7).
     The count is the plain Hoeffding count at accuracy
-    gamma_8 = 8 * norm_floor^7 * gamma, valid whenever the true norm is
-    at least norm_floor.  Below the floor no sampling budget can give an
+    gamma_8 = 8 * 0.45^7 * gamma, valid whenever the true norm is at
+    least 0.45.  Below that floor no sampling budget can give an
     additive-gamma handle on the root (its derivative diverges at 0).
     """
-    gamma8 = 8.0 * norm_floor ** 7 * gamma
+    gamma8 = 8.0 * 0.45 ** 7 * gamma
     return hoeffding_samples(min(gamma8, 0.999), delta)
 
 
@@ -210,27 +211,27 @@ def u3_power_mean(f: FunctionOracle, t: int, rng) -> float:
 
 
 def estimate_u3(f: FunctionOracle, gamma: float, delta: float, rng, *,
-                samples: int | None = None, norm_floor: float = 0.45) -> float:
+                samples: int | None = None) -> float:
     """Sampled U^3: estimate the eighth-power mean, clamp at zero, take
     the eighth root.  Monotonicity of the root turns the two-sided
     Hoeffding guarantee on the mean into one on the norm (with the
     adjusted constant from u3_sample_count).  Query count is exactly
     8 * t for t samples."""
-    t = samples if samples is not None else u3_sample_count(gamma, delta, norm_floor)
+    t = samples if samples is not None else u3_sample_count(gamma, delta)
     mean = u3_power_mean(f, t, rng)
     return max(mean, 0.0) ** 0.125
 
 
 GATE_T_CAP = 1 << 26  # the gate's default cap on parallelepiped samples
+GATE_MARGIN_Z = 4.0  # standard errors the gate's estimate must clear
 
 
 def u3_power_gate(f: FunctionOracle, threshold_norm: float, rng, *,
-                  t_start: int = 1 << 14, t_cap: int = GATE_T_CAP,
-                  margin_z: float = 4.0) -> bool:
+                  t_start: int = 1 << 14, t_cap: int = GATE_T_CAP) -> bool:
     """Sequential test of ||f||_{U3}^8 >= threshold_norm^8.
 
     Doubles the sample count until the estimate clears the threshold by
-    margin_z standard errors on either side; at the cap it compares
+    GATE_MARGIN_Z standard errors on either side; at the cap it compares
     outright.  Resolving the eighth power rather than the norm is what
     makes the reject side of the gate meaningful for desk dimensions.
     """
@@ -250,9 +251,9 @@ def u3_power_gate(f: FunctionOracle, threshold_norm: float, rng, *,
             return False  # residual vanishes on every probe
         mean = total / t_done
         se = 1.0 / math.sqrt(t_done)
-        if mean >= tau8 + margin_z * se:
+        if mean >= tau8 + GATE_MARGIN_Z * se:
             return True
-        if mean <= tau8 - margin_z * se:
+        if mean <= tau8 - GATE_MARGIN_Z * se:
             return False
         if t_done >= t_cap:
             return mean >= tau8
@@ -310,8 +311,7 @@ def _signed_means(vals: np.ndarray, words: np.ndarray, masks: np.ndarray,
             ).astype(np.float64)
 
 
-def _bucket_weight_estimates(query, n, level, buckets, t, rng, *,
-                             oracle=None, spread=False):
+def _bucket_weight_estimates(f, level, buckets, t, rng, *, spread=False):
     """Estimated squared Fourier mass of each bucket at one tree level,
     and the standard deviation of the samples when `spread` is set.
 
@@ -319,20 +319,21 @@ def _bucket_weight_estimates(query, n, level, buckets, t, rng, *,
     a.  One shared draw serves every bucket: with x, y agreeing above
     the level and random below, E f(x) f(y) (-1)^(<a, x^y>) is exactly
     the bucket weight.  A pair is fixed by x and the low bits of y, so
-    when the oracle gives a ``unit_table`` over those 2^(n+level) cells,
+    when f gives a ``unit_table`` over those 2^(n+level) cells,
     the same draws are folded in place into one cell index per pair and
     binned, and each cell's count multiplies the table's f(x) f(y): the
     same floats as the sampled path, with the same 2t queries charged.
     """
+    n = f.n
     lo = np.uint64(level)
     b = np.asarray(buckets, dtype=np.uint64)
-    table = None if oracle is None else unit_table(oracle, n + level, t)
+    table = unit_table(f, n + level, t)
     if table is None:
         xl = rng.integers(0, 1 << level, size=t, dtype=np.uint64)
         yl = rng.integers(0, 1 << level, size=t, dtype=np.uint64)
         zh = rng.integers(0, 1 << (n - level), size=t, dtype=np.uint64) << lo \
             if level < n else np.zeros(t, dtype=np.uint64)
-        vals = query_product(query, xl | zh, yl | zh)
+        vals = query_product(f.query_many, xl | zh, yl | zh)
         return (_signed_means(vals, xl ^ yl, b, level),
                 float(np.std(vals)) if spread else None)
     cells = rng.integers(0, 1 << level, size=t, dtype=np.uint64)  # x low
@@ -344,7 +345,7 @@ def _bucket_weight_estimates(query, n, level, buckets, t, rng, *,
         cells |= high
         del high
     cells = cells.view(np.intp)  # x << level | y low, below 2^(n+level)
-    oracle._charge(2 * t)
+    f._charge(2 * t)
     side = 1 << level
     blocks = table.reshape(-1, side)
     pairs = blocks[:, :, None] * blocks[:, None, :]  # f(x) f(y) per cell
@@ -357,13 +358,14 @@ def _bucket_weight_estimates(query, n, level, buckets, t, rng, *,
     return est, float(np.std(pairs.ravel()[cells])) if spread else None
 
 
-def _coefficient_estimates(query, n, alphas, t, rng, *, oracle=None):
+def _coefficient_estimates(f, alphas, t, rng):
+    n = f.n
     xs = rand_points(rng, n, t)
     masks = np.asarray(alphas, dtype=np.uint64)
-    table = None if oracle is None else unit_table(oracle, n, t)
+    table = unit_table(f, n, t)
     if table is None:
-        return _signed_means(query(xs), xs, masks, n)
-    oracle._charge(t)
+        return _signed_means(f.query_many(xs), xs, masks, n)
+    f._charge(t)
     sums = np.bincount(xs.view(np.intp), minlength=1 << n) * table
     return _word_means(_binned_mean32(sums.sum(), t), sums, masks, t)
 
@@ -385,18 +387,17 @@ def _reject_nan(est):
         raise ValueError("the oracle returned NaN on a Goldreich-Levin sample")
 
 
-def _gl_tree(query, n, gamma, delta, rng, *, bound=1.0, t_bucket=None,
-             t_leaf=None, repeats=None, live_cap=None, noise_floor_z=0.0,
-             oracle=None):
-    """Shared Goldreich-Levin core over an arbitrary query map on F_2^n;
-    `oracle`, when given, is the oracle whose query_many `query` is, and
-    its table may serve the estimates.
+def _gl_tree(f, gamma, delta, rng, *, t_bucket=None, t_leaf=None,
+             repeats=None, live_cap=None, noise_floor_z=0.0):
+    """Shared Goldreich-Levin core over an oracle f on F_2^n, whose
+    ``unit_table`` may serve the estimates.
 
     A NaN estimate raises ``ValueError``: it would fail every threshold
     comparison and end the search with a silently empty list."""
     if not (0 < gamma and 0 < delta < 1):
         raise ValueError("gamma must be positive and delta in (0, 1)")
-    cap_d, tb_d, tl_d = _gl_defaults(n, min(gamma, 1.0), delta, bound)
+    n = f.n
+    cap_d, tb_d, tl_d = _gl_defaults(n, min(gamma, 1.0), delta, f.bound)
     live_cap = live_cap or cap_d
     t_bucket = t_bucket or tb_d
     t_leaf = t_leaf or tl_d
@@ -419,8 +420,7 @@ def _gl_tree(query, n, gamma, delta, rng, *, bound=1.0, t_bucket=None,
                 children.append(a)
                 children.append(a | (1 << (level - 1)))
             est, sd = _bucket_weight_estimates(
-                query, n, level, children, t_bucket, rng, oracle=oracle,
-                spread=noise_floor_z > 0.0)
+                f, level, children, t_bucket, rng, spread=noise_floor_z > 0.0)
             _reject_nan(est)
             keep = threshold
             if noise_floor_z > 0.0:
@@ -435,8 +435,7 @@ def _gl_tree(query, n, gamma, delta, rng, *, bound=1.0, t_bucket=None,
     if not candidates:
         return []
     alphas = sorted(candidates)
-    coeffs = _coefficient_estimates(query, n, alphas, t_leaf, rng,
-                                    oracle=oracle)
+    coeffs = _coefficient_estimates(f, alphas, t_leaf, rng)
     _reject_nan(coeffs)
     out = [(a, float(c)) for a, c in zip(alphas, coeffs) if abs(c) >= gamma / 2.0]
     out.sort(key=lambda t_: (-abs(t_[1]), t_[0]))
@@ -456,9 +455,9 @@ def goldreich_levin(f: FunctionOracle, gamma: float, delta: float, rng, *,
     guarantee holds for all large characters simultaneously.  Callers
     chasing speed over guarantees pass smaller counts explicitly.
     """
-    return _gl_tree(f.query_many, f.n, gamma, delta, rng, bound=f.bound,
-                    t_bucket=t_bucket, t_leaf=t_leaf, repeats=repeats,
-                    live_cap=live_cap, noise_floor_z=noise_floor_z, oracle=f)
+    return _gl_tree(f, gamma, delta, rng, t_bucket=t_bucket, t_leaf=t_leaf,
+                    repeats=repeats, live_cap=live_cap,
+                    noise_floor_z=noise_floor_z)
 
 
 def goldreich_levin_subspace(f: FunctionOracle, W: SubspaceF2, gamma: float,
@@ -478,13 +477,12 @@ def goldreich_levin_subspace(f: FunctionOracle, W: SubspaceF2, gamma: float,
     d = len(basis)
     if d == 0:
         return []
-
-    def query(us):
-        return f.query_many(combine_many(us, basis))
-
-    found = _gl_tree(query, d, gamma, delta, rng, bound=f.bound,
-                     t_bucket=t_bucket, t_leaf=t_leaf, repeats=repeats,
-                     live_cap=live_cap, noise_floor_z=noise_floor_z)
+    # a leaf in coordinates whose fn counts f's queries; it gives no table
+    coords = CallableOracle(lambda us: f.query_many(combine_many(us, basis)),
+                            d, bound=f.bound)
+    found = _gl_tree(coords, gamma, delta, rng, t_bucket=t_bucket,
+                     t_leaf=t_leaf, repeats=repeats, live_cap=live_cap,
+                     noise_floor_z=noise_floor_z)
     gram = [sum(((basis[i] & basis[j]).bit_count() & 1) << j for j in range(d))
             for i in range(d)]
     out = []

@@ -26,26 +26,21 @@ on first evaluation and keeps them in its instance dict, outside the
 dataclass fields, so equality and hashing are unaffected.  The form
 ignores bits of x at or above n.
 
-A quadratic object, and the residual and rounding oracles of the
-decomposition loop, also keep a ``ValueTable``: once the points they
-have been asked for reach 2^n in total, and if n <= MAX_TABLE_N (16),
-the kernel fills a table of its own outputs at all 2^n points, 8 * 2^n
-bytes (at most 512 KB), and every later call is one gather on the low n
-bits of each point, so the values are those of the kernel bit for bit.
-Building only then bounds the kernel work of an object by twice the
-points it is asked for, and an object asked for fewer than 2^n points (a
-one-off validation at n = 15 or 16, say) never builds one.  Above n = 16
-the kernel answers every call, and it stays the reference the tests
-compare the tables against.
-
-A ``TableOracle`` answers the points 0 .. 2^n - 1 and raises IndexError
-for every point at or above 2^n; an oracle built over one keeps that
-error, because it leaves such points to the oracles beneath it.
-
-``FunctionOracle.table`` hands the sampled estimators all 2^n values at
-once, when they can be had without side effects: from a table oracle, a
-quadratic phase or average behind ``as_oracle``, and a derivative,
-product, residual or rounding oracle whose every input gives one.  A
+Value tables.  A quadratic object and every composite oracle (a
+derivative, product, residual or rounding oracle) compute their values
+with a pure kernel that reads only the low n bits of a point, and keep a
+``ValueTable`` of it: once the points they have been asked for reach 2^n
+in total, and if n <= MAX_TABLE_N (16), the kernel fills a table of its
+outputs at all 2^n points, 8 * 2^n bytes (at most 512 KB), and every
+later call is one gather, so the values are the kernel's bit for bit.
+Building only then bounds the kernel work by twice the points asked for,
+and an object asked for fewer than 2^n points never builds one.  A batch
+holding a point at or above 2^n goes to the kernel, so the oracles
+beneath decide what it means: a ``TableOracle`` answers 0 .. 2^n - 1
+and raises IndexError above.  ``FunctionOracle.table`` hands the sampled
+estimators all 2^n values at once: a table oracle its values, a
+quadratic object behind ``as_oracle`` its table, and a composite its own
+table, filled at once, when every oracle it reads gives one.  A
 ``CallableOracle`` over an arbitrary function gives none.  Reading a
 table is not a query; ``unit_table`` is the one accessor the estimators
 use (see ``fourier``).
@@ -88,15 +83,19 @@ def hoeffding_samples(gamma: float, delta: float) -> int:
 class FunctionOracle:
     """Query-counted oracle access to a map F_2^n -> [-B, B].
 
-    Subclasses implement ``_evaluate`` and declare ``reads``: the
-    (attribute, queries per point) pairs of the oracles their
-    ``_evaluate`` reads, empty for a leaf.  ``query_count`` increments
-    once per queried point, and once per point and read for every oracle
+    A leaf implements ``_evaluate`` and ``table``.  A composite
+    implements ``_kernel``, reading the oracles beneath through their
+    ``_evaluate``, and the base class serves it from a value table and
+    hands that table over (see the module docstring).  Every class
+    declares ``reads``: the (attribute, queries per point) pairs of the
+    oracles it reads, empty for a leaf.  ``query_count`` increments once
+    per queried point, and once per point and read for every oracle
     beneath.
     """
 
     reads: tuple[tuple[str, int], ...]  # no default: every class declares
     _unit_checked = None  # the last table unit_table accepted
+    _reads_tabled = False  # every oracle read gave a table (it stays so)
 
     def __init__(self, n: int, bound: float = 1.0):
         check_dim(n, MAX_ORACLE_N)
@@ -117,14 +116,30 @@ class FunctionOracle:
         for name, times in self.reads:
             getattr(self, name)._charge(times * points)
 
-    def _evaluate(self, xs: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _table(self) -> ValueTable:
+        return ValueTable(self.n)
+
+    def _kernel(self, xs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _evaluate(self, xs: np.ndarray) -> np.ndarray:
+        # a point at or above 2^n bypasses the table, so the oracles
+        # beneath decide what it means
+        if xs.size and int(xs.max()) >> self.n:
+            return self._kernel(xs)
+        return self._table(self._kernel, xs)
 
     def table(self) -> np.ndarray | None:
         """The values at 0 .. 2^n - 1, equal to ``_evaluate`` there, or
         None when they cannot be had without side effects.  Counts
         nothing."""
-        return None
+        if not self._reads_tabled:
+            if any(getattr(self, name).table() is None
+                   for name, _ in self.reads):
+                return None
+            self._reads_tabled = True
+        return self._table.full(self._kernel)
 
 
 class TableOracle(FunctionOracle):
@@ -170,9 +185,7 @@ class CallableOracle(FunctionOracle):
 class DerivativeOracle(FunctionOracle):
     """f_x(y) = f(y) f(x + y): the multiplicative derivative of f at x.
 
-    Each query is two base queries (counted on the base oracle).  Its
-    values fill a ``ValueTable`` once the points asked for reach 2^n, or
-    when ``table`` is read and the base gives one.
+    Each query is two base queries (counted on the base oracle).
     """
 
     reads = (("base", 2),)
@@ -181,18 +194,9 @@ class DerivativeOracle(FunctionOracle):
         super().__init__(base.n, base.bound ** 2)
         self.base = base
         self.shift = int(shift)
-        self._table = ValueTable(self.n)
 
-    def _product(self, xs):
+    def _kernel(self, xs):
         return query_product(self.base._evaluate, xs, xs ^ np.uint64(self.shift))
-
-    def _evaluate(self, xs):
-        return tabled(self, self._product, xs)
-
-    def table(self):
-        if self.base.table() is None:
-            return None
-        return self._table.full(self._product)
 
 
 class ProductOracle(FunctionOracle):
@@ -205,16 +209,8 @@ class ProductOracle(FunctionOracle):
         self.f = f
         self.g = g
 
-    def _evaluate(self, xs):
+    def _kernel(self, xs):
         return self.f._evaluate(xs) * self.g._evaluate(xs)
-
-    def table(self):
-        f, g = self.f.table(), self.g.table()
-        return None if f is None or g is None else f * g
-
-
-def derivative(f: FunctionOracle, x: int) -> DerivativeOracle:
-    return DerivativeOracle(f, x)
 
 
 def query_product(query, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -308,15 +304,6 @@ class ValueTable:
         if self.values is None and self.n <= MAX_TABLE_N:
             self.values = kernel(np.arange(1 << self.n, dtype=np.uint64))
         return self.values
-
-
-def tabled(oracle, kernel, xs: np.ndarray) -> np.ndarray:
-    """kernel(xs) through the oracle's value table ``_table``.  A point at
-    or above 2^n bypasses the table, so the oracles beneath decide what
-    it means (a ``TableOracle`` root raises IndexError)."""
-    if xs.size and int(xs.max()) >> oracle.n:
-        return kernel(xs)
-    return oracle._table(kernel, xs)
 
 
 def unit_table(f: FunctionOracle, bins: int, t: int) -> np.ndarray | None:
@@ -530,12 +517,12 @@ class QuadraticAverage:
 
 # -- synthetic instances -------------------------------------------------------
 
-def random_quadratic_phase(n: int, rng, density: float = 0.5) -> QuadraticPhase:
+def random_quadratic_phase(n: int, rng) -> QuadraticPhase:
     rows = []
     for i in range(n):
         r = 0
         for j in range(i + 1, n):
-            if rng.random() < density:
+            if rng.random() < 0.5:
                 r |= 1 << j
         rows.append(r)
     alpha = int(rng.integers(0, 1 << n))

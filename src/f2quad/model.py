@@ -63,11 +63,10 @@ def paper_model_scales(epsilon: float) -> tuple[float, float, int]:
     return theta, theta_prime, m
 
 
-def choose_model_params(n: int, rng, *, m: int = 4,
-                        c: int | None = None) -> ModelParams:
+def choose_model_params(n: int, rng, *, m: int = 4) -> ModelParams:
     gamma_map = MatF2.random(m, n, rng) if m > 0 else MatF2([], n)
-    c_v = int(rng.integers(0, 1 << m)) if c is None and m > 0 else int(c or 0)
-    return ModelParams(gamma_map=gamma_map, c=c_v, m=m)
+    c = int(rng.integers(0, 1 << m)) if m > 0 else 0
+    return ModelParams(gamma_map=gamma_map, c=c, m=m)
 
 
 def model_test(sampler: PhiSampler, u: tuple[int, int], v: tuple[int, int],
@@ -322,7 +321,6 @@ def local_symmetrize(V: SubspaceF2, T: MatF2, c1: int, z_c: int,
 def find_linear_parts(f: FunctionOracle, W: SubspaceF2, A: MatF2, B: MatF2,
                       sigma: float, delta: float, rng, *,
                       gl_kwargs: dict | None = None,
-                      est_gamma: float = 0.02, max_codim: int = 16,
                       info: dict | None = None) -> QuadraticAverage:
     """Per-coset linear parts for the shared quadratic part A.
 
@@ -334,7 +332,7 @@ def find_linear_parts(f: FunctionOracle, W: SubspaceF2, A: MatF2, B: MatF2,
     estimating the assembled average with both constants and keeping
     the larger (their contribution is then nonnegative).
     """
-    if W.codim > max_codim:
+    if W.codim > 16:
         raise ValueError(f"refusing to enumerate 2^{W.codim} cosets")
     if B != A + A.transpose():
         raise ValueError("B must equal A + A^T")
@@ -366,7 +364,7 @@ def find_linear_parts(f: FunctionOracle, W: SubspaceF2, A: MatF2, B: MatF2,
             for y in undecided:
                 trial[y] = (B.mul_vec(y), cbit)
             Q = QuadraticAverage(W, A, trial, n)
-            est = estimate_correlation(f, Q.as_oracle(), est_gamma, delta, rng)
+            est = estimate_correlation(f, Q.as_oracle(), 0.02, delta, rng)
             trials.append((est, Q))
         trials.sort(key=lambda t: -t[0])
         if info is not None:

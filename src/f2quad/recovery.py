@@ -47,6 +47,8 @@ class FindQuadraticResult:
 
 
 SCREEN_TRIES = 400  # anchor draws screen_anchor makes at most
+SCREEN_STREAK_ABORT = 48  # empty lists in a row that end a fruitless screen
+SCREEN_BEST_OF = 8  # qualifying anchors screen_anchor compares
 
 
 def linear_map_cap(n: int) -> int:
@@ -57,8 +59,7 @@ def linear_map_cap(n: int) -> int:
 
 
 def screen_anchor(sampler: PhiSampler, gamma: float, rng, *,
-                  max_tries: int = SCREEN_TRIES, streak_abort: int = 48,
-                  best_of: int = 8):
+                  max_tries: int = SCREEN_TRIES):
     """Draw an anchor vertex u = (x, phi(x)) whose character came from
     the decomposition list with coefficient estimate >= gamma, keeping
     the largest-coefficient candidate among the first few that qualify.
@@ -75,13 +76,13 @@ def screen_anchor(sampler: PhiSampler, gamma: float, rng, *,
         rec = sampler.record(x)
         if rec.from_list and abs(rec.coeff) >= gamma:
             found.append((abs(rec.coeff), x, rec.alpha))
-            if len(found) >= best_of:
+            if len(found) >= SCREEN_BEST_OF:
                 break
         if rec.from_list:
             empty_streak = 0
         else:
             empty_streak += 1
-            if empty_streak >= streak_abort and not found:
+            if empty_streak >= SCREEN_STREAK_ABORT and not found:
                 return None
     if not found:
         return None
@@ -90,11 +91,11 @@ def screen_anchor(sampler: PhiSampler, gamma: float, rng, *,
 
 
 def find_linear_map(sampler: PhiSampler, params: BsgParams, rng, *,
-                    u: tuple[int, int] | None = None, t_min: int | None = None,
-                    k_cap: int | None = None, stall: int = 8,
+                    t_min: int | None = None, k_cap: int | None = None,
                     warmup: int = 2000) -> LinearChoiceMap | None:
     """Sample points, keep those the sandwich test accepts against the
-    anchor u, and read a linear map off the span of the accepted pairs.
+    anchor u that ``screen_anchor`` draws, and read a linear map off the
+    span of the accepted pairs.
 
     Sampling is adaptive: stop once the accepted span's rank has stalled
     past t_min acceptances (below rank n only if some draw was
@@ -108,10 +109,9 @@ def find_linear_map(sampler: PhiSampler, params: BsgParams, rng, *,
     t_req = t_min if t_min is not None else 6
     cap = k_cap if k_cap is not None else linear_map_cap(n)
     warmup = min(warmup, cap)
+    u = screen_anchor(sampler, params.gamma1, rng)
     if u is None:
-        u = screen_anchor(sampler, params.gamma1, rng)
-        if u is None:
-            return None
+        return None
 
     span = SpanBuilder()
     vectors: list[int] = []
@@ -133,9 +133,9 @@ def find_linear_map(sampler: PhiSampler, params: BsgParams, rng, *,
                 stalled += 1
             # a harvest that rejected no draw has no evidence that phi is
             # linear only on a proper subset: a span below rank n there
-            # means `stall` uniform draws in a row fell in one hyperplane
-            # (chance 2^-stall), and stopping would invent the missing column
-            if accepted >= t_req and stalled >= stall and \
+            # means 8 uniform draws in a row fell in one hyperplane (chance
+            # 2^-8), and stopping would invent the missing column
+            if accepted >= t_req and stalled >= 8 and \
                     (span.rank >= n or accepted < sampled):
                 break
         if sampled == warmup and accepted == 0:

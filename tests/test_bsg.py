@@ -313,3 +313,35 @@ def test_estimate_derivative_coefficient_reads_nan_only_where_drawn():
         got = estimate_derivative_coefficient(TableOracle(poisoned, n), x, 9,
                                               t, np.random.default_rng(3))
         assert (got == want) if finite else np.isnan(got)
+
+
+def test_edge_test_raises_on_a_nan_coefficient_only_where_drawn():
+    # NaN < gamma is False, so a NaN coefficient would pass the edge; a
+    # NaN that no coefficient draw reads leaves the verdict alone
+    n, t, x, y = 6, 8, 5, 12
+    q = random_quadratic_phase(n, np.random.default_rng(20))
+    B = q.symmetric_matrix()
+    rng = np.random.default_rng(21)
+    draws = [rand_points(rng, n, t) for _ in range(3)]
+    read = set()
+    for ys, p in zip(draws, (y, x, x ^ y)):  # edge_test's order
+        read.update(ys.tolist(), (ys ^ np.uint64(p)).tolist())
+    unread = min(set(range(1 << n)) - read)
+
+    def verdict(vals):
+        sam = PhiSampler(TableOracle(vals, n), 0.15, 0.1,
+                         np.random.default_rng(0), **PRACTICAL_GL)
+        for z in range(1 << n):
+            sam.memo[z] = PhiRecord(B.mul_vec(z), 1.0, True)
+        return edge_test(sam, sam.vertex(x), sam.vertex(y), 0.5, t,
+                         np.random.default_rng(21))
+
+    vals = q.truth_table().values
+    assert verdict(vals) == 1
+    poisoned = vals.copy()
+    poisoned[unread] = np.nan
+    assert verdict(poisoned) == 1
+    poisoned = vals.copy()
+    poisoned[draws[0][0]] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        verdict(poisoned)

@@ -14,9 +14,10 @@ import pytest
 
 import f2quad
 from f2quad.decompose import ResidualOracle, RoundedBooleanOracle
-from f2quad.functions import (MAX_TABLE_N, DerivativeOracle, FunctionOracle,
-                              ProductOracle, TableOracle, rand_points,
-                              random_quadratic_phase)
+from f2quad.functions import (MAX_TABLE_N, CallableOracle, DerivativeOracle,
+                              FunctionOracle, ProductOracle, TableOracle,
+                              rand_points, random_boolean_table,
+                              random_quadratic_phase, unit_table)
 from test_decompose import splitmix_uniform
 
 
@@ -171,3 +172,58 @@ def test_every_oracle_class_declares_what_it_reads():
                 and times >= 1, cls.__name__
     # one entry point: no class overrides query_many
     assert [c.__name__ for c in classes if "query_many" in vars(c)] == []
+
+
+def test_every_composite_is_a_kernel_under_the_base_table_rule():
+    # a composite supplies its kernel; the base class tables it and hands
+    # the table over, and only the rounding oracle adds to _evaluate (its
+    # NaN raise)
+    composites = [c for c in all_oracle_classes() if c.reads]
+    assert {c.__name__ for c in composites} >= {
+        "DerivativeOracle", "ProductOracle", "ResidualOracle",
+        "RoundedBooleanOracle"}
+    for cls in composites:
+        assert "_kernel" in vars(cls) and "table" not in vars(cls), \
+            cls.__name__
+    assert [c.__name__ for c in composites if "_evaluate" in vars(c)] == \
+        ["RoundedBooleanOracle"]
+
+
+COMPOSITES = {
+    "derivative": lambda f, rng: DerivativeOracle(f, 3),
+    "product": lambda f, rng: ProductOracle(
+        f, random_quadratic_phase(f.n, rng).as_oracle()),
+    "residual": lambda f, rng: ResidualOracle(
+        f, [(0.5, random_quadratic_phase(f.n, rng))], 1.2),
+    "rounded": lambda f, rng: RoundedBooleanOracle(f, 1.2, 7),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COMPOSITES))
+def test_a_composite_hands_over_a_table_when_every_oracle_beneath_does(kind):
+    n = 5
+    vals = np.random.default_rng(6).uniform(-1.0, 1.0, size=1 << n)
+    over_table = COMPOSITES[kind](TableOracle(vals, n),
+                                  np.random.default_rng(7))
+    bare = COMPOSITES[kind](
+        CallableOracle(lambda xs: vals[xs.view(np.int64)], n),
+        np.random.default_rng(7))
+    assert bare.table() is None
+    pointwise = [bare(x) for x in range(1 << n)]
+    assert list(over_table.table()) == pointwise
+    assert over_table.query_count == 0  # reading a table is not a query
+
+
+def test_a_product_keeps_one_table():
+    # unit_table checks each table array once, so a product hands over
+    # the same array on every call
+    n = 6
+    rng = np.random.default_rng(8)
+    prod = ProductOracle(random_boolean_table(n, rng).as_oracle(),
+                         random_quadratic_phase(n, rng).as_oracle())
+    table = prod.table()
+    assert prod.table() is table
+    assert np.array_equal(
+        table, prod._evaluate(np.arange(1 << n, dtype=np.uint64)))
+    assert unit_table(prod, n, 1 << n) is table
+    assert prod._unit_checked is table

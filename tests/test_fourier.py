@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from f2quad.gf2 import SubspaceF2, dot, dot_many, sign_many
-from f2quad.functions import (DerivativeOracle, ProductOracle, TableOracle,
-                              TruthTable, planted_sign_mixture, rand_points,
+from f2quad.functions import (CallableOracle, DerivativeOracle,
+                              ProductOracle, TableOracle, TruthTable,
+                              planted_sign_mixture, rand_points,
                               random_boolean_table, random_quadratic_phase)
 from f2quad.fourier import (_binned_mean32, _bucket_weight_estimates,
                             _coefficient_estimates, _gl_tree, _signed_means,
@@ -395,6 +396,12 @@ def estimator_oracle(kind, n=6):
     return TableOracle(rng.uniform(-1.0, 1.0, size=1 << n), n), []
 
 
+def sampled(f):
+    """f behind a table-less leaf, which keeps the estimators on their
+    sampled path (the reference) and charges f as before."""
+    return CallableOracle(f.query_many, f.n, bound=f.bound)
+
+
 def spy_evaluate(f):
     """Record the size of each _evaluate call: the sampled path reads the
     oracle there, the binned path reads only its table."""
@@ -421,10 +428,10 @@ def test_bucket_estimates_binned_match_sampled(kind, level, t):
     calls = spy_evaluate(f)
     buckets = list(range(min(1 << level, 40)))
     rng, rng_ref = np.random.default_rng(t), np.random.default_rng(t)
-    got, sd = _bucket_weight_estimates(f.query_many, n, level, buckets, t,
-                                       rng, oracle=f, spread=True)
-    want, sd_ref = _bucket_weight_estimates(ref.query_many, n, level,
-                                            buckets, t, rng_ref, spread=True)
+    got, sd = _bucket_weight_estimates(f, level, buckets, t, rng,
+                                       spread=True)
+    want, sd_ref = _bucket_weight_estimates(sampled(ref), level, buckets, t,
+                                            rng_ref, spread=True)
     assert got.tobytes() == want.tobytes() and sd == sd_ref
     same_counts_and_stream(f, below, ref, ref_below, rng, rng_ref)
     assert (calls == []) == (kind != "real" and (1 << (n + level)) <= t)
@@ -439,8 +446,8 @@ def test_leaf_estimates_binned_match_sampled(kind, t):
     calls = spy_evaluate(f)
     alphas = [0, 3, 13, 40, 63]
     rng, rng_ref = np.random.default_rng(t), np.random.default_rng(t)
-    got = _coefficient_estimates(f.query_many, n, alphas, t, rng, oracle=f)
-    want = _coefficient_estimates(ref.query_many, n, alphas, t, rng_ref)
+    got = _coefficient_estimates(f, alphas, t, rng)
+    want = _coefficient_estimates(sampled(ref), alphas, t, rng_ref)
     assert got.tobytes() == want.tobytes()
     same_counts_and_stream(f, below, ref, ref_below, rng, rng_ref)
     assert (calls == []) == (kind != "real" and 64 <= t)
@@ -456,8 +463,7 @@ def test_goldreich_levin_binned_matches_sampled(kind, noise_floor_z):
     counts = dict(t_bucket=1500, t_leaf=1000, repeats=2, live_cap=20,
                   noise_floor_z=noise_floor_z)
     got = goldreich_levin(f, 0.15, 0.1, rng, **counts)
-    want = _gl_tree(ref.query_many, ref.n, 0.15, 0.1, rng_ref,
-                    bound=ref.bound, **counts)
+    want = _gl_tree(sampled(ref), 0.15, 0.1, rng_ref, **counts)
     assert got == want
     same_counts_and_stream(f, below, ref, ref_below, rng, rng_ref)
 
@@ -470,14 +476,12 @@ def test_binned_estimates_read_nan_only_where_drawn():
     undrawn = int(np.setdiff1d(np.arange(1 << n), xs)[0])
     vals = random_boolean_table(n, np.random.default_rng(10)).values
     clean = TableOracle(vals, n)
-    want = _coefficient_estimates(clean.query_many, n, alphas, t,
-                                  np.random.default_rng(9), oracle=clean)
+    want = _coefficient_estimates(clean, alphas, t, np.random.default_rng(9))
     for point, finite in ((undrawn, True), (int(xs[0]), False)):
         poisoned = vals.copy()
         poisoned[point] = np.nan
         f = TableOracle(poisoned, n)
-        got = _coefficient_estimates(f.query_many, n, alphas, t,
-                                     np.random.default_rng(9), oracle=f)
+        got = _coefficient_estimates(f, alphas, t, np.random.default_rng(9))
         assert f.query_count == clean.query_count == t
         if finite:
             assert got.tobytes() == want.tobytes()

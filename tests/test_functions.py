@@ -9,7 +9,7 @@ from f2quad.functions import (MAX_TABLE_N, DerivativeOracle,
                               TruthTable, ValueTable,
                               coherent_quadratic_average,
                               correlation_exact,
-                              derivative, estimate_correlation,
+                              estimate_correlation,
                               eval_quadratic_phase, hoeffding_samples,
                               make_noisy_codeword, make_noisy_codeword_exact,
                               rand_points, random_boolean_table,
@@ -242,7 +242,7 @@ def test_derivative_oracle_counts_two_base_queries():
     rng = np.random.default_rng(8)
     tt = random_boolean_table(8, rng)
     f, ref = tt.as_oracle(), tt.as_oracle()
-    d = derivative(f, 13)
+    d = DerivativeOracle(f, 13)
     xs = np.arange(32, dtype=np.uint64)
     # one batched base call, same values and counts as two separate calls
     expect = ref.query_many(xs) * ref.query_many(xs ^ np.uint64(13))

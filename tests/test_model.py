@@ -150,7 +150,8 @@ def test_membership_goldreich_levin_matches_sampled(decided):
                   noise_floor_z=3.0)
     got = goldreich_levin(mem.as_oracle(), 0.1, 0.05, rng, **counts)
     orc = ref.as_oracle()
-    want = _gl_tree(orc.query_many, orc.n, 0.1, 0.05, rng_ref, **counts)
+    want = _gl_tree(CallableOracle(orc.query_many, orc.n), 0.1, 0.05,
+                    rng_ref, **counts)
     assert got == want
     assert np.array_equal(mem._memo, ref._memo)
     assert mem.evaluations == ref.evaluations == 64
