@@ -16,9 +16,10 @@ from .functions import (FunctionOracle, QuadraticAverage, QuadraticPhase,
                         make_noisy_codeword, make_noisy_codeword_exact,
                         random_boolean_table, random_quadratic_average,
                         random_quadratic_phase)
-from .fourier import (FourierSpectrum, estimate_u3, exact_u2, exact_u3,
-                      exact_u_norm, fwht, goldreich_levin,
-                      goldreich_levin_subspace, spectrum_to_table, wht)
+from .fourier import (FourierSpectrum, exact_u2, exact_u3, exact_u_norm, fwht,
+                      goldreich_levin, goldreich_levin_subspace,
+                      spectrum_to_table, wht)
+from .u3 import estimate_u3
 from .bsg import (BsgParams, PhiSampler, bsg_test, choose_bsg_params,
                   edge_test)
 from .recovery import (FindQuadraticResult, LinearChoiceMap, find_linear_map,

@@ -25,7 +25,8 @@ import numpy as np
 from .gf2 import parity_many
 from .functions import (DerivativeOracle, FunctionOracle, hoeffding_samples,
                         query_product, rand_points, unit_table)
-from .fourier import goldreich_levin
+from .fourier import (PAIR_CACHE_BITS, word_parities, word_xors,
+                      goldreich_levin)
 
 
 @dataclass(frozen=True)
@@ -105,11 +106,22 @@ def estimate_derivative_coefficient(f: FunctionOracle, x: int, alpha: int,
         par = parity_many(ys & np.uint64(alpha)).astype(np.float64)
         return float(vals.mean() - 2.0 * (vals @ par) / t)
     f._charge(2 * t)
-    points = np.arange(1 << f.n, dtype=np.uint64)
-    sums = np.bincount(ys.view(np.intp), minlength=1 << f.n) \
-        * (table * table[(points ^ np.uint64(x)).view(np.intp)])
-    return float(sums.sum() / t
-                 - 2.0 * (sums @ parity_many(points & np.uint64(alpha))) / t)
+    counts = np.bincount(ys.view(np.intp), minlength=1 << f.n)
+    if f.n <= PAIR_CACHE_BITS:
+        sums = counts * _derivative_rows(f, table)[x]
+        par = word_parities(f.n)[alpha & ((1 << f.n) - 1)]
+    else:
+        points = np.arange(1 << f.n, dtype=np.uint64)
+        sums = counts * (table * table[(points ^ np.uint64(x)).view(np.intp)])
+        par = parity_many(points & np.uint64(alpha))
+    return float(sums.sum() / t - 2.0 * (sums @ par) / t)
+
+
+def _derivative_rows(f: FunctionOracle, table: np.ndarray) -> np.ndarray:
+    """table[y] table[x ^ y] at row x and column y, once per table array."""
+    if f._derivative_rows is None or f._derivative_rows[0] is not table:
+        f._derivative_rows = (table, table * table[word_xors(f.n)])
+    return f._derivative_rows[1]
 
 
 @dataclass(frozen=True)
@@ -253,8 +265,18 @@ def bsg_test(sampler: PhiSampler, u: tuple[int, int], v: tuple[int, int],
     not change the output.
     """
     cache: dict[int, float] = {}
-    if edge_test(sampler, u, v, params.gamma1, params.t_edge, rng,
-                 coeff_cache=cache) == 0:
+    verdicts: dict = {}
+
+    def edge(a, b, gamma):
+        # a repeated edge reads only cached coefficients and memoized phi
+        # values, so it draws nothing and gives the same verdict
+        key = (a, b, gamma)
+        if key not in verdicts:
+            verdicts[key] = edge_test(sampler, a, b, gamma, params.t_edge,
+                                      rng, coeff_cache=cache)
+        return verdicts[key]
+
+    if edge(u, v, params.gamma1) == 0:
         return 0
     acc = 0.0
     for i in range(params.r):
@@ -266,8 +288,7 @@ def bsg_test(sampler: PhiSampler, u: tuple[int, int], v: tuple[int, int],
             break
         z = int(rng.integers(0, 1 << sampler.n))
         zv = (z, sampler.sample(z))
-        x_i = edge_test(sampler, u, zv, params.gamma2, params.t_edge, rng,
-                        coeff_cache=cache)
+        x_i = edge(u, zv, params.gamma2)
         if x_i == 0:
             continue
         inner = 0.0
@@ -276,12 +297,10 @@ def bsg_test(sampler: PhiSampler, u: tuple[int, int], v: tuple[int, int],
                 break  # B_i already forced to 0
             w = int(rng.integers(0, 1 << sampler.n))
             wv = (w, sampler.sample(w))
-            y_ij = edge_test(sampler, v, wv, params.gamma3, params.t_edge, rng,
-                             coeff_cache=cache)
+            y_ij = edge(v, wv, params.gamma3)
             if y_ij == 0:
                 continue
-            z_ij = edge_test(sampler, zv, wv, params.gamma3, params.t_edge, rng,
-                             coeff_cache=cache)
+            z_ij = edge(zv, wv, params.gamma3)
             inner += y_ij * z_ij
         b_i = 1 if (inner / params.s) <= params.rho1 else 0
         acc += x_i * b_i

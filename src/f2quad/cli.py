@@ -20,7 +20,7 @@ import zlib
 
 import numpy as np
 
-from . import bruteforce, fourier, functions, serialize
+from . import bruteforce, fourier, functions, serialize, u3
 from .decompose import decompose_full
 from .gf2 import SubspaceF2
 from .model import find_quadratic_average
@@ -109,7 +109,7 @@ def cmd_u3(args) -> int:
         val = fourier.exact_u3(tt)
     else:
         rng = derive_rng(args.seed, "u3")
-        val = fourier.estimate_u3(tt.as_oracle(), args.gamma, args.delta, rng)
+        val = u3.estimate_u3(tt.as_oracle(), args.gamma, args.delta, rng)
     _write_out(args, f"{val!r}\n")
     return EXIT_OK
 

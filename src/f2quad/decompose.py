@@ -27,7 +27,7 @@ import numpy as np
 
 from .functions import (FunctionOracle, estimate_correlation,
                         hoeffding_samples, rand_points)
-from .fourier import estimate_u3, u3_power_gate
+from .u3 import estimate_u3, u3_power_gate
 from .recovery import PRACTICAL_DEFAULTS, find_quadratic, resolve_knobs
 from .model import AVERAGE_DEFAULTS, find_quadratic_average
 

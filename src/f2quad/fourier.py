@@ -1,17 +1,17 @@
 """Walsh-Hadamard analysis over F_2^n.
 
-Exact transform and uniformity norms for truth tables, plus the two
-sampling workhorses: the U^3 estimator (average of 8-point products
-over random 3-dimensional parallelepipeds) and the Goldreich-Levin
-linear decomposition, implemented as the prefix-bucket estimation tree
-(estimate the squared Fourier weight of each bucket of characters by
-pair sampling and recurse on buckets whose estimated weight clears
-gamma^2/2).  Both are available globally and relative to a subspace.
+Exact transform and uniformity norms for truth tables (the sampled U^3
+norm is in ``u3``), plus the Goldreich-Levin linear decomposition,
+implemented as the prefix-bucket estimation tree (estimate the squared
+Fourier weight of each bucket of characters by pair sampling and
+recurse on buckets whose estimated weight clears gamma^2/2), globally
+and relative to a subspace.
 Every Goldreich-Levin estimate is a signed mean of samples against a
 set of masks (`_signed_means`); the sampled words lie below 2^level
 (buckets) or 2^n (leaves), so when there are at least as many samples
 as words the samples are first summed per word and the parity matrix
-spans the words, not the samples.
+spans the words, not the samples; up to 2^8 words it is taken from
+one cached matrix of every word against every other.
 
 When the oracle hands over a ``unit_table`` (all 2^n values, each -1, 0
 or 1; n <= 16) and the cells a draw falls in number no more than the
@@ -28,20 +28,14 @@ sampled path stays the reference and serves everything else: subspace
 Goldreich-Levin, real-valued or NaN-holding tables, the levels where
 2^(n+level) > t, and n > 16.
 
-The U^3 estimator draws its parallelepipeds 2^20 at a time, into four
-uint64 arrays plus one float64 product array (about 40 MB), and
-evaluates them in blocks of 2^12, one oracle call per block.  Like
-``query_product``, it assumes a pointwise oracle.
-
 Conventions: f_hat(alpha) = E_x f(x) (-1)^(<alpha, x>); the butterfly
-is unnormalized, so applying it twice yields 2^n f.  Exact-arithmetic
-comparisons should use absolute tolerance 1e-9 (exact routines only
-add +-1 values scaled by powers of two).
+is unnormalized, so applying it twice yields 2^n f.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -51,10 +45,8 @@ from .functions import (CallableOracle, FunctionOracle, TruthTable,
                         hoeffding_samples, query_product, rand_points,
                         unit_table)
 
-EXACT_TOL = 1e-9
 U3_EXACT_MAX_N = 14
-U3_DRAW_CHUNK = 1 << 20  # parallelepipeds per draw; part of the rng stream
-U3_BLOCK = 1 << 12  # parallelepipeds per oracle call: 8 x 32 KB of points
+PAIR_CACHE_BITS = 8  # word x word matrices are cached up to 2^8 x 2^8
 LinearTermList = list  # [(alpha, coeff)], alphas distinct
 _EXACT_DTYPES = (np.dtype(np.int64), np.dtype(object))
 
@@ -152,114 +144,6 @@ def exact_u_norm(f: TruthTable, k: int) -> float:
     raise ValueError("only k in {2, 3} supported")
 
 
-def u3_sample_count(gamma: float, delta: float) -> int:
-    """Parallelepiped samples for |estimate - U^3| <= gamma at 1 - delta.
-
-    The mean of 8-point products is the eighth power of the norm, so an
-    additive guarantee on the norm itself costs a derivative factor:
-    near a norm value u the root map stretches errors by 1/(8 u^7).
-    The count is the plain Hoeffding count at accuracy
-    gamma_8 = 8 * 0.45^7 * gamma, valid whenever the true norm is at
-    least 0.45.  Below that floor no sampling budget can give an
-    additive-gamma handle on the root (its derivative diverges at 0).
-    """
-    gamma8 = 8.0 * 0.45 ** 7 * gamma
-    return hoeffding_samples(min(gamma8, 0.999), delta)
-
-
-def u3_power_mean(f: FunctionOracle, t: int, rng) -> float:
-    """Mean of t products of f over random 3-dimensional parallelepipeds
-    {x + w . h : w in {0,1}^3}; 8t queries of a pointwise oracle.
-
-    The parallelepipeds are drawn U3_DRAW_CHUNK at a time (x, h1, h2, h3
-    in that order, which fixes the rng stream) and evaluated U3_BLOCK at
-    a time: the 8 corner sets of a block go to the oracle in one call on
-    an (8, m) array, and the corner values are multiplied into the
-    chunk's product array in the order w = 0..7, so the mean is the same
-    float whatever the block size.  Raises ValueError when a chunk's
-    products sum to NaN.
-    """
-    if t < 1:
-        raise ValueError(f"U^3 sample count must be at least 1, got {t}")
-    total = 0.0
-    done = 0
-    while done < t:
-        b = min(U3_DRAW_CHUNK, t - done)
-        x = rand_points(rng, f.n, b)
-        h1 = rand_points(rng, f.n, b)
-        h2 = rand_points(rng, f.n, b)
-        h3 = rand_points(rng, f.n, b)
-        prod = np.empty(b, dtype=np.float64)
-        for lo in range(0, b, U3_BLOCK):
-            hi = min(lo + U3_BLOCK, b)
-            pts = np.empty((2, 2, 2, hi - lo), dtype=np.uint64)  # [w2, w1, w0]
-            pts[...] = x[lo:hi]
-            pts[:, :, 1] ^= h1[lo:hi]
-            pts[:, 1] ^= h2[lo:hi]
-            pts[1] ^= h3[lo:hi]
-            vals = f.query_many(pts.reshape(-1)).reshape(8, -1)
-            p = prod[lo:hi]
-            p[...] = vals[0]
-            for w in range(1, 8):
-                p *= vals[w]
-        s = float(np.sum(prod))
-        if math.isnan(s):
-            raise ValueError("the oracle returned NaN on a U^3 sample")
-        total += s
-        done += b
-    return total / t
-
-
-def estimate_u3(f: FunctionOracle, gamma: float, delta: float, rng, *,
-                samples: int | None = None) -> float:
-    """Sampled U^3: estimate the eighth-power mean, clamp at zero, take
-    the eighth root.  Monotonicity of the root turns the two-sided
-    Hoeffding guarantee on the mean into one on the norm (with the
-    adjusted constant from u3_sample_count).  Query count is exactly
-    8 * t for t samples."""
-    t = samples if samples is not None else u3_sample_count(gamma, delta)
-    mean = u3_power_mean(f, t, rng)
-    return max(mean, 0.0) ** 0.125
-
-
-GATE_T_CAP = 1 << 26  # the gate's default cap on parallelepiped samples
-GATE_MARGIN_Z = 4.0  # standard errors the gate's estimate must clear
-
-
-def u3_power_gate(f: FunctionOracle, threshold_norm: float, rng, *,
-                  t_start: int = 1 << 14, t_cap: int = GATE_T_CAP) -> bool:
-    """Sequential test of ||f||_{U3}^8 >= threshold_norm^8.
-
-    Doubles the sample count until the estimate clears the threshold by
-    GATE_MARGIN_Z standard errors on either side; at the cap it compares
-    outright.  Resolving the eighth power rather than the norm is what
-    makes the reject side of the gate meaningful for desk dimensions.
-    """
-    if t_start < 1 or t_cap < 1:
-        raise ValueError(f"U^3 gate sample counts must be at least 1, got "
-                         f"t_start={t_start}, t_cap={t_cap}")
-    tau8 = threshold_norm ** 8
-    total = 0.0
-    t_done = 0
-    t_next = t_start
-    while True:
-        batch = t_next - t_done
-        total += u3_power_mean(f, batch, rng) * batch
-        t_done = t_next
-        if total == 0.0 and \
-                not np.any(f.query_many(rand_points(rng, f.n, 1 << 12))):
-            return False  # residual vanishes on every probe
-        mean = total / t_done
-        se = 1.0 / math.sqrt(t_done)
-        if mean >= tau8 + GATE_MARGIN_Z * se:
-            return True
-        if mean <= tau8 - GATE_MARGIN_Z * se:
-            return False
-        if t_done >= t_cap:
-            return mean >= tau8
-        t_next = min(2 * t_done, t_cap)
-
-
 # -- Goldreich-Levin -----------------------------------------------------------
 
 MAX_GL_SAMPLES = 1 << 24  # _signed_means is exact below this many samples
@@ -271,13 +155,40 @@ def _parities(words: np.ndarray, masks: np.ndarray) -> np.ndarray:
             & np.uint8(1)).astype(np.float32)
 
 
+@functools.cache
+def word_xors(bits: int) -> np.ndarray:
+    """w ^ v for every pair of words below 2^bits, as a read-only intp
+    matrix kept for later callers (bits <= PAIR_CACHE_BITS)."""
+    words = np.arange(1 << bits)
+    out = words[:, None] ^ words[None, :]
+    out.flags.writeable = False
+    return out
+
+
+@functools.cache
+def word_parities(bits: int) -> np.ndarray:
+    """_parities of every word below 2^bits against every other (a
+    symmetric matrix), read-only and kept for later callers (bits <=
+    PAIR_CACHE_BITS)."""
+    words = np.arange(1 << bits, dtype=np.uint64)
+    out = _parities(words, words)
+    out.flags.writeable = False
+    return out
+
+
 def _word_means(mean32, sums: np.ndarray, masks: np.ndarray,
                 t: int) -> np.ndarray:
     """The signed means of t samples from their float32 mean and the
     float64 sum of the samples at each word 0 .. len(sums) - 1."""
-    words = np.arange(len(sums), dtype=np.uint64)
-    return (mean32 - 2.0 * (sums.astype(np.float32) @ _parities(words, masks))
-            / t).astype(np.float64)
+    bits = len(sums).bit_length() - 1
+    if bits <= PAIR_CACHE_BITS:
+        # the same C-ordered matrix _parities builds, so the same floats
+        cols = (masks & np.uint64(len(sums) - 1)).view(np.intp)
+        par = np.take(word_parities(bits), cols, axis=1)
+    else:
+        par = _parities(np.arange(len(sums), dtype=np.uint64), masks)
+    return (mean32 - 2.0 * (sums.astype(np.float32) @ par) / t
+            ).astype(np.float64)
 
 
 def _binned_mean32(total: float, t: int):
@@ -351,9 +262,8 @@ def _bucket_weight_estimates(f, level, buckets, t, rng, *, spread=False):
     pairs = blocks[:, :, None] * blocks[:, None, :]  # f(x) f(y) per cell
     counts = np.bincount(cells, minlength=1 << (n + level))
     by_low = (counts.reshape(pairs.shape) * pairs).sum(axis=0)
-    low = np.arange(side)
-    sums = np.bincount((low[:, None] ^ low[None, :]).ravel(),
-                       weights=by_low.ravel(), minlength=side)
+    xors = (word_xors if level <= PAIR_CACHE_BITS else word_xors.__wrapped__)(level)
+    sums = np.bincount(xors.ravel(), weights=by_low.ravel(), minlength=side)
     est = _word_means(_binned_mean32(sums.sum(), t), sums, b, t)
     return est, float(np.std(pairs.ravel()[cells])) if spread else None
 

@@ -95,6 +95,8 @@ class FunctionOracle:
 
     reads: tuple[tuple[str, int], ...]  # no default: every class declares
     _unit_checked = None  # the last table unit_table accepted
+    _u3_checked = None  # (table, its U^3 products or None), u3's
+    _derivative_rows = None  # (table, its derivative products), bsg's
     _reads_tabled = False  # every oracle read gave a table (it stays so)
 
     def __init__(self, n: int, bound: float = 1.0):

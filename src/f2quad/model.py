@@ -25,7 +25,8 @@ from .gf2 import (MAX_ENUM_N, MatF2, SpanBuilder, SubspaceF2,
                   symmetric_split)
 from .functions import (CallableOracle, FunctionOracle, QuadraticAverage,
                         QuadraticPhase, estimate_correlation)
-from .fourier import goldreich_levin, goldreich_levin_subspace, u3_power_gate
+from .fourier import goldreich_levin, goldreich_levin_subspace
+from .u3 import u3_power_gate
 from .bsg import BsgParams, PhiSampler, bsg_test, edge_test
 from .recovery import (_symmetric_extension, attempt_loop, resolve_knobs,
                        screen_anchor)
@@ -117,10 +118,11 @@ class ModelMembership:
         got = self._memo[xs]
         undecided = got < 0
         if undecided.any():
-            miss = xs[undecided]
-            for x in np.unique(miss):
+            todo = np.zeros(len(self._memo), dtype=bool)
+            todo[xs[undecided]] = True
+            for x in np.flatnonzero(todo):
                 self.query(int(x))
-            got[undecided] = self._memo[miss]
+            got = self._memo[xs]
         return got.astype(np.float64)
 
     def table(self) -> np.ndarray | None:

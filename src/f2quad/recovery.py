@@ -21,7 +21,8 @@ from .gf2 import (MatF2, SpanBuilder, SubspaceF2,
                   row_reduce, solve_linear_system, symmetric_split)
 from .functions import (FunctionOracle, ProductOracle, QuadraticPhase,
                         estimate_correlation, hoeffding_samples)
-from .fourier import GATE_T_CAP, goldreich_levin, u3_power_gate
+from .fourier import goldreich_levin
+from .u3 import GATE_T_CAP, u3_power_gate
 from .bsg import (PRACTICAL_R, PRACTICAL_S, PRACTICAL_T_EDGE, BsgParams,
                   PhiSampler, bsg_test, choose_bsg_params)
 

@@ -23,8 +23,8 @@ from f2quad.functions import (TableOracle, TruthTable,
                               estimate_correlation, estimate_correlation as _ec,
                               make_noisy_codeword, random_boolean_table,
                               random_quadratic_phase)
-from f2quad.fourier import (estimate_u3, exact_u2, exact_u3, fwht,
-                            goldreich_levin, wht)
+from f2quad.fourier import exact_u2, exact_u3, fwht, goldreich_levin, wht
+from f2quad.u3 import estimate_u3
 from f2quad.bruteforce import (SetF2, best_quadratic_correlation,
                                convolution_power, exhaustive_coefficients,
                                exhaustive_t_set, sumset, u3_direct)

@@ -9,6 +9,7 @@ from f2quad.gf2 import SubspaceF2, dot, parity_many
 from f2quad.functions import (TableOracle, make_noisy_codeword, rand_points,
                               random_boolean_table, random_quadratic_phase)
 from f2quad.fourier import derivative_table, wht
+import f2quad.bsg as bsg_module
 from f2quad.bsg import (BsgParams, PhiRecord, PhiSampler, bsg_test,
                         choose_bsg_params, edge_test,
                         estimate_derivative_coefficient)
@@ -299,6 +300,26 @@ def test_estimate_derivative_coefficient_matches_two_call_reference():
             assert (reads == []) == (kind != "real" and t >= 1 << n)
 
 
+@pytest.mark.parametrize("n", [4, 6])
+def test_estimate_derivative_coefficient_cached_rows_match_reference(n):
+    # up to n = 8 the products and parities are kept between calls; the
+    # per-sample product stays the reference, bit for bit
+    for kind in ("sign", "indicator", "phase"):
+        f, ref = derivative_reference_oracles(kind, n)
+        rng = np.random.default_rng(n)
+        rng_ref = np.random.default_rng(n)
+        for x, alpha, t in ((3, 5, 2048), (0, 9, 100), (3, 1 << n | 6, 2048),
+                            (5, 5, 1 << n), (3, 0, 777)):
+            got = estimate_derivative_coefficient(f, x, alpha, t, rng)
+            ys = rand_points(rng_ref, n, t)
+            vals = ref.query_many(ys) * ref.query_many(ys ^ np.uint64(x))
+            par = parity_many(ys & np.uint64(alpha)).astype(np.float64)
+            want = float(vals.mean() - 2.0 * (vals @ par) / t)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert f.query_count == ref.query_count
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
 def test_estimate_derivative_coefficient_reads_nan_only_where_drawn():
     n, t, x = 6, 64, 5
     ys = rand_points(np.random.default_rng(3), n, t)
@@ -345,3 +366,82 @@ def test_edge_test_raises_on_a_nan_coefficient_only_where_drawn():
     poisoned[draws[0][0]] = np.nan
     with pytest.raises(ValueError, match="NaN"):
         verdict(poisoned)
+
+
+def reference_bsg_test(sampler, u, v, params, rng):
+    """bsg_test without its per-call memo of edge verdicts, kept as the
+    reference: every edge is tested again, with the coefficient cache."""
+    cache = {}
+    if edge_test(sampler, u, v, params.gamma1, params.t_edge, rng,
+                 coeff_cache=cache) == 0:
+        return 0
+    acc = 0.0
+    for i in range(params.r):
+        if acc > params.rho2 * params.r:
+            return 0
+        if acc + (params.r - i) <= params.rho2 * params.r:
+            break
+        z = int(rng.integers(0, 1 << sampler.n))
+        zv = (z, sampler.sample(z))
+        x_i = edge_test(sampler, u, zv, params.gamma2, params.t_edge, rng,
+                        coeff_cache=cache)
+        if x_i == 0:
+            continue
+        inner = 0.0
+        for _ in range(params.s):
+            if inner > params.rho1 * params.s:
+                break
+            w = int(rng.integers(0, 1 << sampler.n))
+            wv = (w, sampler.sample(w))
+            y_ij = edge_test(sampler, v, wv, params.gamma3, params.t_edge, rng,
+                             coeff_cache=cache)
+            if y_ij == 0:
+                continue
+            z_ij = edge_test(sampler, zv, wv, params.gamma3, params.t_edge, rng,
+                             coeff_cache=cache)
+            inner += y_ij * z_ij
+        b_i = 1 if (inner / params.s) <= params.rho1 else 0
+        acc += x_i * b_i
+    return 1 if (acc / params.r) <= params.rho2 else 0
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_bsg_test_edge_memo_matches_reference(n, monkeypatch):
+    # a repeated edge reads only cached coefficients and memoized phi
+    # values, so its remembered verdict changes no output, draw or count
+    def context():
+        rng = np.random.default_rng(50 + n)
+        q = random_quadratic_phase(n, rng)
+        f = make_noisy_codeword(q, 0.35, rng).as_oracle()
+        return PhiSampler(f, 0.15, 0.1, rng, **PRACTICAL_GL), rng
+
+    sam, rng = context()
+    ref, rng_ref = context()
+    tested = {"memo": 0, "reference": 0}
+
+    def counted(side, edge):
+        def spy(*args, **kwargs):
+            tested[side] += 1
+            return edge(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(bsg_module, "edge_test", counted("memo", edge_test))
+    monkeypatch.setitem(globals(), "edge_test", counted("reference", edge_test))
+    verdicts = []
+    for i in range(40):
+        params = choose_bsg_params(None, rng)
+        ref_params = choose_bsg_params(None, rng_ref)
+        u, v = (sam.vertex(int(rng.integers(0, 1 << n))) for _ in range(2))
+        u_ref, v_ref = (ref.vertex(int(rng_ref.integers(0, 1 << n)))
+                        for _ in range(2))
+        if i % 4 == 0:  # u = v: one edge is tested at gamma2 and gamma3
+            v, v_ref = u, u_ref
+        assert (u, v, params) == (u_ref, v_ref, ref_params)
+        got = bsg_test(sam, u, v, params, rng)
+        verdicts.append(got)
+        assert got == reference_bsg_test(ref, u_ref, v_ref, ref_params, rng_ref)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        assert sam.f.query_count == ref.f.query_count
+    assert 0 < sum(verdicts) < len(verdicts)
+    assert sam.memo == ref.memo
+    assert 0 < tested["memo"] < tested["reference"]

@@ -10,11 +10,11 @@ from f2quad.functions import (CallableOracle, DerivativeOracle,
                               random_boolean_table, random_quadratic_phase)
 from f2quad.fourier import (_binned_mean32, _bucket_weight_estimates,
                             _coefficient_estimates, _gl_tree, _signed_means,
-                            _word_means, estimate_u3, exact_u2, exact_u3,
-                            exact_u_norm, fwht, goldreich_levin,
-                            goldreich_levin_subspace, spectrum_to_table,
-                            u3_power_gate, u3_power_mean, u3_sample_count,
-                            wht)
+                            _word_means, exact_u2, exact_u3, exact_u_norm,
+                            fwht, goldreich_levin, goldreich_levin_subspace,
+                            spectrum_to_table, wht)
+from f2quad.u3 import (_u3_products, estimate_u3, u3_power_gate,
+                       u3_power_mean, u3_sample_count)
 from f2quad.decompose import ResidualOracle
 from f2quad.bruteforce import u2_direct, u3_direct
 
@@ -189,6 +189,85 @@ def test_u3_power_mean_matches_per_corner_reference(t, kind):
     assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
+def binned_u3_oracle(kind, n):
+    """A fresh oracle of the given kind at a small n, and its root: a
+    sign table, a residual whose values are multiples of 1/2 clamped at
+    B = 2, and a uniform real table (which is never binned)."""
+    rng = np.random.default_rng(78)
+    if kind == "real":
+        root = TableOracle(rng.uniform(-1.0, 1.0, size=1 << n), n)
+        return root, root
+    root = random_boolean_table(n, rng).as_oracle()
+    if kind == "sign":
+        return root, root
+    terms = [(0.5, random_quadratic_phase(n, rng)) for _ in range(3)]
+    return ResidualOracle(root, terms, 2.0), root
+
+
+@pytest.mark.parametrize("n,t", [(4, (1 << 16) - 1), (4, 1 << 16),
+                                 (4, (1 << 16) + 5), (4, (1 << 20) + 5),
+                                 (5, 1 << 20)])
+@pytest.mark.parametrize("kind", ["sign", "residual", "real"])
+def test_u3_binned_sampler_matches_per_corner_reference(n, t, kind):
+    # a draw chunk of b >= 2^(4n) is binned (no oracle call) unless the
+    # table is real-valued; the floats, counts and draws stay the same
+    f_ref, _ = binned_u3_oracle(kind, n)
+    f, root = binned_u3_oracle(kind, n)
+    asked = []
+    query_many = f.query_many
+    f.query_many = lambda xs: asked.append(xs.size) or query_many(xs)
+    rng_ref = np.random.default_rng(t + n)
+    rng = np.random.default_rng(t + n)
+    want = per_corner_u3_power_mean(f_ref, t, rng_ref)
+    got = u3_power_mean(f, t, rng)
+    assert got == want  # exact float equality
+    assert f.query_count == 8 * t and root.query_count == 8 * t
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    chunks = [min(1 << 20, t - lo) for lo in range(0, t, 1 << 20)]
+    evaluated = sum(b for b in chunks if kind == "real" or b < 1 << (4 * n))
+    assert sum(asked) == 8 * evaluated
+
+
+def test_u3_products_exactness_rule():
+    n = 4
+    rng = np.random.default_rng(79)
+    sign, _ = binned_u3_oracle("sign", n)
+    residual, _ = binned_u3_oracle("residual", n)
+    products = _u3_products(residual)
+    assert products is not None and _u3_products(residual) is products
+    # the corners of cell x | h1 << 4 | h2 << 8 | h3 << 12, in order w
+    vals = residual.table()
+    cell = 0x9a5c
+    x, hs = cell & 15, [(cell >> (4 * k)) & 15 for k in (1, 2, 3)]
+    want = 1.0
+    for w in range(8):
+        pt = x
+        for k in range(3):
+            if w >> k & 1:
+                pt ^= hs[k]
+        want *= vals[pt]
+    assert products[cell] == want
+    assert _u3_products(sign) is not None
+    fine = TableOracle(rng.integers(-1024, 1025, size=1 << n) / 1024.0, n)
+    assert _u3_products(fine) is None  # multiples of 2^-80: inexact sums
+    real, _ = binned_u3_oracle("real", n)
+    assert _u3_products(real) is None
+    nan = random_boolean_table(n, rng).values.copy()
+    nan[5] = np.nan
+    assert _u3_products(TableOracle(nan, n)) is None
+    leaf = CallableOracle(lambda xs: np.ones(xs.shape), n)
+    assert _u3_products(leaf) is None  # no table
+    assert _u3_products(TableOracle(np.zeros(1 << n), n)) is not None
+
+
+def test_u3_binned_sampler_falls_back_on_nan():
+    vals = random_boolean_table(4, np.random.default_rng(3)).values.copy()
+    vals[5] = np.nan
+    orc = TableOracle(vals, 4)
+    with pytest.raises(ValueError, match="NaN"):
+        u3_power_mean(orc, 1 << 16, np.random.default_rng(4))
+
+
 def test_u3_sampler_rejects_nan():
     n = 6
     vals = random_boolean_table(n, np.random.default_rng(3)).values.copy()
@@ -341,7 +420,7 @@ def per_sample_signed_means(vals, words, masks):
 
 @pytest.mark.parametrize("t,bits", [(64, 5), (64, 6), (64, 8), (100, 6),
                                     (100, 7), (1 << 17, 6), (3000, 12),
-                                    (1, 1)])
+                                    (1, 1), (4096, 9)])
 @pytest.mark.parametrize("kind", ["sign", "indicator"])
 def test_signed_means_matches_per_sample_reference(t, bits, kind):
     # 2^bits below, equal to and above t; t a power of two and not
@@ -435,6 +514,24 @@ def test_bucket_estimates_binned_match_sampled(kind, level, t):
     assert got.tobytes() == want.tobytes() and sd == sd_ref
     same_counts_and_stream(f, below, ref, ref_below, rng, rng_ref)
     assert (calls == []) == (kind != "real" and (1 << (n + level)) <= t)
+
+
+@pytest.mark.parametrize("kind", ["sign", "indicator"])
+def test_bucket_estimates_binned_above_the_pair_cache(kind):
+    # at level 9 > PAIR_CACHE_BITS the word matrices are built per call
+    n, level, t = 9, 9, 1 << 18
+    f, below = estimator_oracle(kind, n)
+    ref, ref_below = estimator_oracle(kind, n)
+    calls = spy_evaluate(f)
+    buckets = list(range(40))
+    rng, rng_ref = np.random.default_rng(t), np.random.default_rng(t)
+    got, sd = _bucket_weight_estimates(f, level, buckets, t, rng,
+                                       spread=True)
+    want, sd_ref = _bucket_weight_estimates(sampled(ref), level, buckets, t,
+                                            rng_ref, spread=True)
+    assert got.tobytes() == want.tobytes() and sd == sd_ref
+    same_counts_and_stream(f, below, ref, ref_below, rng, rng_ref)
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -15,7 +15,7 @@ from f2quad.functions import (QuadraticPhase, TableOracle, correlation_exact,
 from f2quad.fourier import derivative_table, exact_u3, wht
 from f2quad.bsg import PhiRecord, PhiSampler, choose_bsg_params
 from f2quad.model import find_quadratic_average
-from f2quad import bsg, fourier, recovery
+from f2quad import bsg, recovery, u3
 from f2quad.recovery import (find_linear_map, find_quadratic, integrate,
                              practical_query_budget, screen_anchor, symmetrize)
 
@@ -211,8 +211,8 @@ def test_query_budget_reads_its_owners_defaults(monkeypatch):
         (bsg.PRACTICAL_R, bsg.PRACTICAL_S, bsg.PRACTICAL_T_EDGE)
     assert signature(screen_anchor).parameters["max_tries"].default \
         == recovery.SCREEN_TRIES
-    assert signature(fourier.u3_power_gate).parameters["t_cap"].default \
-        == fourier.GATE_T_CAP == recovery.GATE_T_CAP
+    assert signature(u3.u3_power_gate).parameters["t_cap"].default \
+        == u3.GATE_T_CAP == recovery.GATE_T_CAP
     base = practical_query_budget(8, 1)
     for name in ("PRACTICAL_R", "PRACTICAL_S", "PRACTICAL_T_EDGE",
                  "SCREEN_TRIES", "GATE_T_CAP"):
