@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bruteforce, fourier, functions, serialize, u3
 from .decompose import decompose_full
-from .gf2 import SubspaceF2
+from .gf2 import MAX_ENUM_N, SubspaceF2, check_dim
 from .model import find_quadratic_average
 from .recovery import find_quadratic
 
@@ -67,8 +67,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def cmd_gen(args) -> int:
-    rng = derive_rng(args.seed, "gen")
     n = args.n
+    check_dim(n, MAX_ENUM_N)  # before the 2^n table is drawn
+    if not args.out:
+        raise SystemExit2("gen requires --out", EXIT_INPUT)
+    rng = derive_rng(args.seed, "gen")
     if args.plant == "quad":
         q = functions.random_quadratic_phase(n, rng)
         eps = args.epsilon if args.epsilon is not None else 0.5
@@ -87,8 +90,6 @@ def cmd_gen(args) -> int:
         meta = {}
     else:
         raise SystemExit2(f"unknown plant {args.plant!r}", EXIT_INPUT)
-    if not args.out:
-        raise SystemExit2("gen requires --out", EXIT_INPUT)
     serialize.write_table(tt, args.out, binary=args.binary)
     if args.meta_out:
         with open(args.meta_out, "w") as fh:

@@ -23,10 +23,12 @@ path, and on such a table every per-word sum is an exact integer below
 2^24, so the float32 arithmetic that follows gives bit-identical
 estimates; the noise floor's standard deviation is taken from the same
 per-sample values, gathered from the cells.  The binned path allocates
-no array larger than the t-entry sample arrays it replaces.  The
-sampled path stays the reference and serves everything else: subspace
-Goldreich-Levin, real-valued or NaN-holding tables, the levels where
-2^(n+level) > t, and n > 16.
+no array larger than the t-entry sample arrays it replaces.  Subspace
+Goldreich-Levin runs the same tree on f pulled back to coordinates over
+a basis of W (a ``PullbackOracle``): it hands over a table, read from f
+at the points of W only, whenever every leaf beneath f gives one.  The
+sampled path stays the reference and serves everything else: real or
+NaN-holding tables, the levels where 2^(n+level) > t, and n > 16.
 
 Conventions: f_hat(alpha) = E_x f(x) (-1)^(<alpha, x>); the butterfly
 is unnormalized, so applying it twice yields 2^n f.
@@ -41,7 +43,7 @@ import math
 import numpy as np
 
 from .gf2 import SubspaceF2, combine_many, solve_linear_system
-from .functions import (CallableOracle, FunctionOracle, TruthTable,
+from .functions import (FunctionOracle, PullbackOracle, TruthTable,
                         hoeffding_samples, query_product, rand_points,
                         unit_table)
 
@@ -297,10 +299,19 @@ def _reject_nan(est):
         raise ValueError("the oracle returned NaN on a Goldreich-Levin sample")
 
 
-def _gl_tree(f, gamma, delta, rng, *, t_bucket=None, t_leaf=None,
-             repeats=None, live_cap=None, noise_floor_z=0.0):
-    """Shared Goldreich-Levin core over an oracle f on F_2^n, whose
-    ``unit_table`` may serve the estimates.
+def goldreich_levin(f: FunctionOracle, gamma: float, delta: float, rng, *,
+                    t_bucket=None, t_leaf=None, repeats=None, live_cap=None,
+                    noise_floor_z=0.0) -> LinearTermList:
+    """Linear decomposition f ~ sum_i c_i (-1)^(<alpha_i, x>) + f'.
+
+    With the default (Hoeffding-forced) sample counts, with probability
+    at least 1 - delta every alpha with |f_hat(alpha)| >= gamma appears
+    in the list, every reported coefficient is within gamma/2 of the
+    true one, and the list length is O(1/gamma^2).  The tree repeats
+    O(log 1/gamma) times and unions the candidates, so the completeness
+    guarantee holds for all large characters simultaneously.  Callers
+    chasing speed over guarantees pass smaller counts explicitly.  The
+    oracle's ``unit_table`` may serve the estimates.
 
     A NaN estimate raises ``ValueError``: it would fail every threshold
     comparison and end the search with a silently empty list."""
@@ -352,24 +363,6 @@ def _gl_tree(f, gamma, delta, rng, *, t_bucket=None, t_leaf=None,
     return out
 
 
-def goldreich_levin(f: FunctionOracle, gamma: float, delta: float, rng, *,
-                    t_bucket=None, t_leaf=None, repeats=None, live_cap=None,
-                    noise_floor_z=0.0) -> LinearTermList:
-    """Linear decomposition f ~ sum_i c_i (-1)^(<alpha_i, x>) + f'.
-
-    With the default (Hoeffding-forced) sample counts, with probability
-    at least 1 - delta every alpha with |f_hat(alpha)| >= gamma appears
-    in the list, every reported coefficient is within gamma/2 of the
-    true one, and the list length is O(1/gamma^2).  The tree repeats
-    O(log 1/gamma) times and unions the candidates, so the completeness
-    guarantee holds for all large characters simultaneously.  Callers
-    chasing speed over guarantees pass smaller counts explicitly.
-    """
-    return _gl_tree(f, gamma, delta, rng, t_bucket=t_bucket, t_leaf=t_leaf,
-                    repeats=repeats, live_cap=live_cap,
-                    noise_floor_z=noise_floor_z)
-
-
 def goldreich_levin_subspace(f: FunctionOracle, W: SubspaceF2, gamma: float,
                              delta: float, rng, *, t_bucket=None, t_leaf=None,
                              repeats=None, live_cap=None,
@@ -387,15 +380,14 @@ def goldreich_levin_subspace(f: FunctionOracle, W: SubspaceF2, gamma: float,
     d = len(basis)
     if d == 0:
         return []
-    # a leaf in coordinates whose fn counts f's queries; it gives no table
-    coords = CallableOracle(lambda us: f.query_many(combine_many(us, basis)),
-                            d, bound=f.bound)
-    found = _gl_tree(coords, gamma, delta, rng, t_bucket=t_bucket,
-                     t_leaf=t_leaf, repeats=repeats, live_cap=live_cap,
-                     noise_floor_z=noise_floor_z)
+    coords = PullbackOracle(f, lambda us: combine_many(us, basis), d)
+    found = goldreich_levin(coords, gamma, delta, rng, t_bucket=t_bucket,
+                            t_leaf=t_leaf, repeats=repeats, live_cap=live_cap,
+                            noise_floor_z=noise_floor_z)
     gram = [sum(((basis[i] & basis[j]).bit_count() & 1) << j for j in range(d))
             for i in range(d)]
-    out = []
+    # distinct alphas: merge duplicates (possible when W meets W^perp)
+    merged: dict[int, float] = {}
     for beta, c in found:
         coeffs = solve_linear_system(gram, [(beta >> i) & 1 for i in range(d)], d)
         if coeffs is not None:
@@ -409,11 +401,6 @@ def goldreich_levin_subspace(f: FunctionOracle, W: SubspaceF2, gamma: float,
             # the w_i are independent)
             alpha = solve_linear_system(basis, [(beta >> i) & 1 for i in range(d)],
                                         W.n)
-        out.append((alpha, c))
-    # distinct alphas: merge duplicates (possible when W meets W^perp)
-    merged: dict[int, float] = {}
-    for a, c in out:
-        if a not in merged or abs(c) > abs(merged[a]):
-            merged[a] = c
-    result = sorted(merged.items(), key=lambda t_: (-abs(t_[1]), t_[0]))
-    return result
+        if alpha not in merged or abs(c) > abs(merged[alpha]):
+            merged[alpha] = c
+    return sorted(merged.items(), key=lambda t_: (-abs(t_[1]), t_[0]))

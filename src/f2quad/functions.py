@@ -11,10 +11,12 @@ Counting is separate from evaluation.  ``query_many`` charges each point
 to the oracle asked and, through the class attribute ``reads`` (the
 oracles a class reads and how many times per point), to every oracle
 beneath it: a derivative charges its base twice per point, a product
-each factor once.  Evaluation below the top reads the lower oracles'
-``_evaluate`` and counts nothing, so an oracle that answers from a value
-table (below) is charged exactly as one that reads its base each time,
-and building a table is not a query.
+and a pullback each oracle they read once.  Evaluation below the top
+reads the lower oracles' ``_evaluate`` and counts nothing, so an oracle
+that answers from a value table (below) is charged exactly as one that
+reads its base each time, and building a table is not a query.  Every
+oracle that reads another is such a composite, but for the leaf
+``model.ModelMembership``, which is only ever queried directly.
 
 Quadratic phases and averages share one vectorized kernel for the form
 <x, Mx> + <alpha, x> = parity(x & (Mx ^ alpha)).  Mx is the XOR over the
@@ -27,23 +29,25 @@ dataclass fields, so equality and hashing are unaffected.  The form
 ignores bits of x at or above n.
 
 Value tables.  A quadratic object and every composite oracle (a
-derivative, product, residual or rounding oracle) compute their values
-with a pure kernel that reads only the low n bits of a point, and keep a
-``ValueTable`` of it: once the points they have been asked for reach 2^n
-in total, and if n <= MAX_TABLE_N (16), the kernel fills a table of its
-outputs at all 2^n points, 8 * 2^n bytes (at most 512 KB), and every
-later call is one gather, so the values are the kernel's bit for bit.
-Building only then bounds the kernel work by twice the points asked for,
-and an object asked for fewer than 2^n points never builds one.  A batch
-holding a point at or above 2^n goes to the kernel, so the oracles
-beneath decide what it means: a ``TableOracle`` answers 0 .. 2^n - 1
-and raises IndexError above.  ``FunctionOracle.table`` hands the sampled
-estimators all 2^n values at once: a table oracle its values, a
-quadratic object behind ``as_oracle`` its table, and a composite its own
-table, filled at once, when every oracle it reads gives one.  A
-``CallableOracle`` over an arbitrary function gives none.  Reading a
-table is not a query; ``unit_table`` is the one accessor the estimators
-use (see ``fourier``).
+derivative, product, pullback, residual or rounding oracle) compute
+their values with a pure kernel that reads only the low n bits of a
+point, and keep a ``ValueTable`` of it: once the points they have been
+asked for reach 2^n in total, and if n <= MAX_TABLE_N (16), the kernel
+fills a table of its outputs at all 2^n points, 8 * 2^n bytes (at most
+512 KB), and every later call is one gather, so the values are the
+kernel's bit for bit.  Building only then bounds the kernel work by
+twice the points asked for, and an object asked for fewer than 2^n
+points never builds one.  A batch holding a point at or above 2^n goes
+to the kernel, so the oracles beneath decide what it means: a
+``TableOracle`` answers 0 .. 2^n - 1 and raises IndexError above.
+``FunctionOracle.table`` hands the sampled estimators all 2^n values at
+once: a table oracle its values, a quadratic object behind
+``as_oracle`` its table, and a composite its own table, filled at once
+through the ``_evaluate`` of the oracles beneath when every leaf beneath
+gives one (``_tabled``, which fills nothing), so a pullback to d < n
+coordinates reads 2^d base points.  A ``CallableOracle`` over an
+arbitrary function gives none.  Reading a table is not a query;
+``unit_table`` is the one accessor the estimators use (see ``fourier``).
 """
 
 from __future__ import annotations
@@ -97,7 +101,7 @@ class FunctionOracle:
     _unit_checked = None  # the last table unit_table accepted
     _u3_checked = None  # (table, its U^3 products or None), u3's
     _derivative_rows = None  # (table, its derivative products), bsg's
-    _reads_tabled = False  # every oracle read gave a table (it stays so)
+    _reads_tabled = False  # every leaf beneath gives a table (it stays so)
 
     def __init__(self, n: int, bound: float = 1.0):
         check_dim(n, MAX_ORACLE_N)
@@ -132,16 +136,19 @@ class FunctionOracle:
             return self._kernel(xs)
         return self._table(self._kernel, xs)
 
+    def _tabled(self) -> bool:
+        """Whether every leaf beneath gives a table, asked without
+        filling one (a leaf that may give none overrides this)."""
+        if not self._reads_tabled:
+            self._reads_tabled = all(getattr(self, name)._tabled()
+                                     for name, _ in self.reads)
+        return self._reads_tabled
+
     def table(self) -> np.ndarray | None:
         """The values at 0 .. 2^n - 1, equal to ``_evaluate`` there, or
         None when they cannot be had without side effects.  Counts
         nothing."""
-        if not self._reads_tabled:
-            if any(getattr(self, name).table() is None
-                   for name, _ in self.reads):
-                return None
-            self._reads_tabled = True
-        return self._table.full(self._kernel)
+        return self._table.full(self._kernel) if self._tabled() else None
 
 
 class TableOracle(FunctionOracle):
@@ -164,11 +171,11 @@ class TableOracle(FunctionOracle):
 
 
 class CallableOracle(FunctionOracle):
-    """Oracle from a vectorized evaluator ``fn(uint64 array) -> float64``.
-
-    A leaf: whatever ``fn`` queries is counted by ``fn`` itself.  It
-    gives a table only through ``table``, a function returning fn's
-    2^n values (or None), which the owner of a pure ``fn`` passes."""
+    """Oracle from a vectorized ``fn(uint64 array) -> float64`` that
+    queries no oracle: a composite over it reads fn once per table, so
+    an oracle queried inside fn would be miscounted (read one through a
+    ``PullbackOracle`` or ``ProductOracle`` instead).  It gives a table
+    only through ``table``, a function returning fn's 2^n values."""
 
     reads = ()
 
@@ -180,8 +187,11 @@ class CallableOracle(FunctionOracle):
     def _evaluate(self, xs):
         return np.asarray(self._fn(xs), dtype=np.float64)
 
+    def _tabled(self):
+        return self._values_of is not None
+
     def table(self):
-        return None if self._values_of is None else self._values_of()
+        return self._values_of() if self._tabled() else None
 
 
 class DerivativeOracle(FunctionOracle):
@@ -213,6 +223,20 @@ class ProductOracle(FunctionOracle):
 
     def _kernel(self, xs):
         return self.f._evaluate(xs) * self.g._evaluate(xs)
+
+
+class PullbackOracle(FunctionOracle):
+    """x -> base(point_map(x)) on F_2^n, for a pure vectorized map."""
+
+    reads = (("base", 1),)
+
+    def __init__(self, base: FunctionOracle, point_map, n: int):
+        super().__init__(n, base.bound)
+        self.base = base
+        self.point_map = point_map
+
+    def _kernel(self, xs):
+        return self.base._evaluate(self.point_map(xs))
 
 
 def query_product(query, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -355,8 +379,29 @@ def quadratic_form_bits(xs: np.ndarray, tables, alpha: int) -> np.ndarray:
     return parity_many(xs & mx)
 
 
+class QuadraticForm:
+    """The value table, truth table and oracle of a quadratic phase or
+    average, from its ``n``, ``_kernel`` and ``eval_many``."""
+
+    @cached_property
+    def _table(self) -> ValueTable:
+        return ValueTable(self.n)
+
+    def values(self) -> np.ndarray | None:
+        """All 2^n values from the value table (None above MAX_TABLE_N)."""
+        return self._table.full(self._kernel)
+
+    def truth_table(self) -> TruthTable:
+        xs = np.arange(1 << self.n, dtype=np.uint64)
+        return TruthTable(self.eval_many(xs), self.n)
+
+    def as_oracle(self) -> CallableOracle:
+        return CallableOracle(self.eval_many, self.n, bound=1.0,
+                              table=self.values)
+
+
 @dataclass(frozen=True)
-class QuadraticPhase:
+class QuadraticPhase(QuadraticForm):
     """(-1)^(<x, Mx> + <alpha, x> + c) with M strictly upper triangular.
 
     The representation is canonical: over GF(2) x_i^2 = x_i, so any
@@ -405,28 +450,12 @@ class QuadraticPhase:
     def _tables(self) -> tuple[np.ndarray, ...]:
         return chunk_tables(self.M)
 
-    @cached_property
-    def _table(self) -> ValueTable:
-        return ValueTable(self.n)
-
     def _kernel(self, xs: np.ndarray) -> np.ndarray:
         bits = quadratic_form_bits(xs, self._tables, self.alpha)
         return sign_many(bits ^ np.uint8(self.c))
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         return self._table(self._kernel, xs)
-
-    def values(self) -> np.ndarray | None:
-        """All 2^n values from the value table (None above MAX_TABLE_N)."""
-        return self._table.full(self._kernel)
-
-    def truth_table(self) -> TruthTable:
-        xs = np.arange(1 << self.n, dtype=np.uint64)
-        return TruthTable(self.eval_many(xs), self.n)
-
-    def as_oracle(self) -> CallableOracle:
-        return CallableOracle(self.eval_many, self.n, bound=1.0,
-                              table=self.values)
 
     def negated(self) -> "QuadraticPhase":
         return QuadraticPhase(self.M, self.alpha, self.c ^ 1, self.n)
@@ -441,7 +470,7 @@ def eval_quadratic_phase(q: QuadraticPhase, x: int) -> float:
 # -- quadratic averages --------------------------------------------------------
 
 @dataclass(frozen=True)
-class QuadraticAverage:
+class QuadraticAverage(QuadraticForm):
     """Sum over cosets y+W of 1_{y+W}(x) (-1)^(<x,Ax> + <l_y,x> + c_y).
 
     All cosets share the quadratic part A and differ in the linear
@@ -481,16 +510,8 @@ class QuadraticAverage:
     def _tables(self) -> tuple[np.ndarray, ...]:
         return chunk_tables(self.A)
 
-    @cached_property
-    def _table(self) -> ValueTable:
-        return ValueTable(self.n)
-
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         return self._table(self._kernel, xs)
-
-    def values(self) -> np.ndarray | None:
-        """All 2^n values from the value table (None above MAX_TABLE_N)."""
-        return self._table.full(self._kernel)
 
     def _kernel(self, xs: np.ndarray) -> np.ndarray:
         xs = xs & np.uint64((1 << self.n) - 1)
@@ -503,14 +524,6 @@ class QuadraticAverage:
                 continue
             out[hit] = sign_many(quad[hit] ^ dot_many(xs[hit], l) ^ np.uint8(c & 1))
         return out
-
-    def truth_table(self) -> TruthTable:
-        xs = np.arange(1 << self.n, dtype=np.uint64)
-        return TruthTable(self.eval_many(xs), self.n)
-
-    def as_oracle(self) -> CallableOracle:
-        return CallableOracle(self.eval_many, self.n, bound=1.0,
-                              table=self.values)
 
     def negated(self) -> "QuadraticAverage":
         flipped = {y: (l, c ^ 1) for y, (l, c) in self.coset_terms.items()}

@@ -23,8 +23,9 @@ from .gf2 import (MAX_ENUM_N, MatF2, SpanBuilder, SubspaceF2,
                   complete_basis_full_rank_projection, dot, graph_linear_map,
                   reduce_mod_basis, row_reduce, solve_linear_system,
                   symmetric_split)
-from .functions import (CallableOracle, FunctionOracle, QuadraticAverage,
-                        QuadraticPhase, estimate_correlation)
+from .functions import (FunctionOracle, ProductOracle, PullbackOracle,
+                        QuadraticAverage, QuadraticPhase,
+                        estimate_correlation)
 from .fourier import goldreich_levin, goldreich_levin_subspace
 from .u3 import u3_power_gate
 from .bsg import BsgParams, PhiSampler, bsg_test, edge_test
@@ -82,23 +83,28 @@ def model_test(sampler: PhiSampler, u: tuple[int, int], v: tuple[int, int],
     return bsg_test(sampler, u, v, params, rng)
 
 
-class ModelMembership:
-    """Dense memo of model_test verdicts: h(x) in {0, 1}.
+class ModelMembership(FunctionOracle):
+    """Dense memo of model_test verdicts: the leaf oracle h(x) in {0, 1}.
 
     Memoization makes h a fixed function of x (first verdict wins), so
     the Bogolyubov run and the quadruple/coset sampling stages all see
     the same restriction; at desk dimensions the expensive verdicts are
-    paid at most once per point.
+    paid at most once per point.  Deciding a point queries the sampler's
+    f and draws from the rng, so h is queried only directly (a composite
+    over it would decide every point in its table fill, outside any
+    count) and hands over a table only once every point is decided.
     """
+
+    reads = ()
 
     def __init__(self, sampler: PhiSampler, u, bsg_params: BsgParams,
                  model: ModelParams, rng):
+        super().__init__(sampler.n)
         self.sampler = sampler
         self.u = u
         self.params = bsg_params
         self.model = model
         self.rng = rng
-        self.n = sampler.n
         self._memo = np.full(1 << self.n, -1, dtype=np.int8)
         self._values = None  # the verdicts as floats, once all are decided
         self.evaluations = 0
@@ -112,7 +118,7 @@ class ModelMembership:
             self.evaluations += 1
         return int(self._memo[x])
 
-    def query_many(self, xs: np.ndarray) -> np.ndarray:
+    def _evaluate(self, xs: np.ndarray) -> np.ndarray:
         """Verdicts at xs, as floats; the undecided points among xs are
         decided first, in increasing order."""
         got = self._memo[xs]
@@ -125,16 +131,15 @@ class ModelMembership:
             got = self._memo[xs]
         return got.astype(np.float64)
 
+    def _tabled(self) -> bool:
+        return self.table() is not None
+
     def table(self) -> np.ndarray | None:
         """Every verdict as 0.0/1.0 once all 2^n points are decided, else
         None (deciding a point draws from the rng)."""
         if self._values is None and self.evaluations == len(self._memo):
             self._values = self._memo.astype(np.float64)
         return self._values
-
-    def as_oracle(self) -> FunctionOracle:
-        return CallableOracle(self.query_many, self.n, bound=1.0,
-                              table=self.table)
 
     def accepted(self) -> np.ndarray:
         return np.flatnonzero(self._memo == 1).astype(np.uint64)
@@ -154,12 +159,11 @@ def bogolyubov(h, rho: float, delta: float, rng, *, gamma: float | None = None,
     """
     if gamma is None:
         gamma = rho ** 1.5 / 4.0
-    orc = h if isinstance(h, FunctionOracle) else h.as_oracle()
-    terms = goldreich_levin(orc, gamma, delta, rng, t_bucket=t_bucket,
+    terms = goldreich_levin(h, gamma, delta, rng, t_bucket=t_bucket,
                             t_leaf=t_leaf, repeats=repeats, live_cap=live_cap,
                             noise_floor_z=noise_floor_z)
     alphas = [a for a, _ in terms if a != 0]
-    return SubspaceF2(alphas, orc.n)
+    return SubspaceF2(alphas, h.n)
 
 
 @dataclass(frozen=True)
@@ -202,7 +206,7 @@ def local_linear_choice(f: FunctionOracle, sampler: PhiSampler,
     probes = rng.integers(0, 1 << n, size=min(512, 1 << n), dtype=np.uint64)
     dens = float(np.mean(mem.query_many(probes)))
     rho = max(dens, 4.0 / (1 << n))
-    v0 = bogolyubov(mem.as_oracle(), rho, delta / 20.0, rng,
+    v0 = bogolyubov(mem, rho, delta / 20.0, rng,
                     gamma=max(0.55 * rho, 1.5 / (1 << n)), **(bog_gl or {}))
     if v0.dim == 0:
         return None
@@ -345,13 +349,9 @@ def find_linear_parts(f: FunctionOracle, W: SubspaceF2, A: MatF2, B: MatF2,
         y = int(y)
         by = B.mul_vec(y)
         phase = QuadraticPhase.canonical(A, by, 0)
-
-        def h_shift(xs, _y=np.uint64(y), _phase=phase):
-            pts = xs ^ _y
-            return f.query_many(pts) * _phase.eval_many(pts)
-
-        orc = CallableOracle(h_shift, n, bound=f.bound)
-        found = goldreich_levin_subspace(orc, W, sigma / 2.0, delta, rng,
+        h_shift = PullbackOracle(ProductOracle(f, phase.as_oracle()),
+                                 lambda xs, _y=np.uint64(y): xs ^ _y, n)
+        found = goldreich_levin_subspace(h_shift, W, sigma / 2.0, delta, rng,
                                          **(gl_kwargs or {}))
         if found:
             r, coeff = found[0]

@@ -268,12 +268,19 @@ VALIDATE_GAMMA, VALIDATE_DELTA = 0.02, 0.01
 
 def resolve_knobs(defaults: dict, overrides: dict) -> dict:
     """The defaults updated by the overrides.  A name that is not a
-    default raises ValueError, so a misspelt knob is refused before any
-    query instead of ignored."""
+    default, or a sandwich knob out of range (r, s, t_edge below 1, rho
+    outside (0, 1]), raises ValueError, so a bad knob is refused before
+    any query instead of ignored or failing mid-run."""
     unknown = sorted(set(overrides) - set(defaults))
     if unknown:
         raise ValueError(f"unknown knob(s): {', '.join(unknown)}")
-    return {**defaults, **overrides}
+    knobs = {**defaults, **overrides}
+    for name in ("r", "s", "t_edge"):
+        if knobs.get(name) is not None and not knobs[name] >= 1:
+            raise ValueError(f"{name} must be at least 1, got {knobs[name]}")
+    if knobs.get("rho") is not None and not 0 < knobs["rho"] <= 1:
+        raise ValueError(f"rho must lie in (0, 1], got {knobs['rho']}")
+    return knobs
 
 
 def phi_knobs(epsilon: float) -> tuple[float, float, dict]:

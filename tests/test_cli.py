@@ -202,10 +202,26 @@ def test_gen_avg_codim_out_of_range_is_input_error(tmp_path, capsys, codim):
     assert not tab.exists()
 
 
+@pytest.mark.parametrize("n", ["0", "25"])
+def test_gen_n_out_of_range_is_input_error(tmp_path, capsys, n):
+    # refused before the 2^n table is drawn or allocated
+    tab = tmp_path / "t.txt"
+    code = main(["gen", "--n", n, "--out", str(tab)])
+    assert code == EXIT_INPUT
+    assert "outside supported range [1, 24]" in capsys.readouterr().err
+    assert not tab.exists()
+
+
 @pytest.mark.parametrize("argv, msg", [
     (["--epsilon", "abc"], "invalid float value: 'abc'"),
     (["--epsilon", "0.5", "--bogus"], "unrecognized arguments: --bogus"),
     (["--epsilon", "0.5", "--m-attempts", "0"], "--m-attempts must be at least 1"),
+    (["--epsilon", "0.5", "--rho", "0"], "rho must lie in (0, 1]"),
+    (["--epsilon", "0.5", "--r", "0"], "r must be at least 1"),
+    (["--epsilon", "0.5", "--s", "0"], "s must be at least 1"),
+    (["--epsilon", "0.5", "--s", "-1"], "s must be at least 1"),
+    (["--epsilon", "0.5", "--t-edge", "0"], "t_edge must be at least 1"),
+    (["--epsilon", "0.5", "--t-edge", "-5"], "t_edge must be at least 1"),
 ])
 def test_usage_errors_are_input_errors(tmp_path, capsys, argv, msg):
     # exit 2 means bottom, so a usage error must not exit with it

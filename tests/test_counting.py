@@ -14,10 +14,15 @@ import pytest
 
 import f2quad
 from f2quad.decompose import ResidualOracle, RoundedBooleanOracle
+from f2quad.decompose import decompose_full
 from f2quad.functions import (MAX_TABLE_N, CallableOracle, DerivativeOracle,
-                              FunctionOracle, ProductOracle, TableOracle,
-                              rand_points, random_boolean_table,
-                              random_quadratic_phase, unit_table)
+                              FunctionOracle, ProductOracle, PullbackOracle,
+                              TableOracle, coherent_quadratic_average,
+                              make_noisy_codeword, rand_points,
+                              random_boolean_table, random_quadratic_phase,
+                              unit_table)
+from f2quad.model import ModelMembership, find_quadratic_average
+from f2quad.recovery import find_quadratic
 from test_decompose import splitmix_uniform
 
 
@@ -196,6 +201,8 @@ COMPOSITES = {
     "residual": lambda f, rng: ResidualOracle(
         f, [(0.5, random_quadratic_phase(f.n, rng))], 1.2),
     "rounded": lambda f, rng: RoundedBooleanOracle(f, 1.2, 7),
+    "pullback": lambda f, rng: PullbackOracle(
+        f, lambda xs: xs ^ np.uint64(5), f.n),
 }
 
 
@@ -227,3 +234,109 @@ def test_a_product_keeps_one_table():
         table, prod._evaluate(np.arange(1 << n, dtype=np.uint64)))
     assert unit_table(prod, n, 1 << n) is table
     assert prod._unit_checked is table
+
+
+def test_a_pullback_fills_no_table_beneath_it():
+    # asking whether the leaves give tables fills nothing, and the
+    # pullback's own table reads its base at the 2^d mapped points only
+    n, d, shift = 8, 3, 0b1011_0000
+    rng = np.random.default_rng(14)
+    f = random_boolean_table(n, rng).as_oracle()
+    phase = random_quadratic_phase(n, rng)
+    prod = ProductOracle(f, phase.as_oracle())
+    coords = PullbackOracle(
+        prod, lambda us: (us << np.uint64(2)) ^ np.uint64(shift), d)
+    table = coords.table()
+    assert prod._table.values is None and phase._table.values is None
+    assert prod._table._asked == 1 << d
+    assert f.query_count == prod.query_count == coords.query_count == 0
+    pts = (np.arange(1 << d, dtype=np.uint64) << np.uint64(2)) ^ \
+        np.uint64(shift)
+    assert np.array_equal(table, f.table()[pts.view(np.int64)]
+                          * phase._kernel(pts))
+
+
+def test_a_derivative_of_a_pullback_charges_the_root_per_query():
+    # the chain once built as a derivative over a leaf whose fn queried g
+    # itself, which left g at 32, 96, 96, 96 once the derivative's table
+    # filled; as a composite every batch is charged
+    n, shift, mask = 5, 3, 6
+    rng = np.random.default_rng(12)
+    vals = random_boolean_table(n, rng).values
+    g = TableOracle(vals, n)
+    top = DerivativeOracle(PullbackOracle(g, lambda xs: xs ^ np.uint64(mask),
+                                          n), shift)
+    for batch in range(1, 5):
+        xs = rand_points(rng, n, 16)
+        want = [vals[x ^ mask] * vals[x ^ shift ^ mask] for x in map(int, xs)]
+        assert list(top.query_many(xs)) == want
+        assert g.query_count == 32 * batch
+
+
+def noisy_n6(rng):
+    f = make_noisy_codeword(random_quadratic_phase(6, rng), 0.25, rng)
+    return find_quadratic(f.as_oracle(), 0.25, 0.05, rng, tau_accept=0.12)
+
+
+def codim2_average_n6(rng):
+    tt = coherent_quadratic_average(6, 2, rng).truth_table()
+    tt.values[rng.random(1 << 6) < 0.2] *= -1.0
+    return find_quadratic_average(tt.as_oracle(), 0.25, 0.05, rng,
+                                  tau_accept=0.12, complexity_cap=4)
+
+
+def two_phase_mixture_n4(mode):
+    def solve(rng):
+        vals = 0.5 * (random_quadratic_phase(4, rng).truth_table().values
+                      + random_quadratic_phase(4, rng).truth_table().values)
+        return decompose_full(TableOracle(vals, 4), 0.3, 2.0, 0.05, rng,
+                              mode=mode)
+    return solve
+
+
+@pytest.mark.parametrize("solve", [
+    pytest.param(noisy_n6, id="find_quadratic"),
+    pytest.param(codim2_average_n6, id="find_quadratic_average"),
+    pytest.param(two_phase_mixture_n4("phases"), id="decompose-phases"),
+    pytest.param(two_phase_mixture_n4("averages"), id="decompose-averages"),
+])
+def test_no_callable_leaf_queries_an_oracle(monkeypatch, solve):
+    # a CallableOracle's fn must be pure: an oracle charged while fn runs
+    # would be miscounted once a composite above the leaf fills its table.
+    # The membership, the one leaf that queries f, is queried directly:
+    # a composite over it would decide every point in its table fill
+    inside, charged_inside = [], []
+    evaluate, charge = CallableOracle._evaluate, FunctionOracle._charge
+    asked, read_below = [], []
+    query_many, decide = FunctionOracle.query_many, ModelMembership._evaluate
+
+    def tracked_query_many(self, xs):
+        asked.append(self)
+        try:
+            return query_many(self, xs)
+        finally:
+            asked.pop()
+
+    def guarded_decide(self, xs):
+        if asked[-1] is not self:
+            read_below.append(type(asked[-1]).__name__)
+        return decide(self, xs)
+
+    def guarded_evaluate(self, xs):
+        inside.append(self)
+        try:
+            return evaluate(self, xs)
+        finally:
+            inside.pop()
+
+    def guarded_charge(self, points):
+        if inside:
+            charged_inside.append(type(self).__name__)
+        charge(self, points)
+
+    monkeypatch.setattr(CallableOracle, "_evaluate", guarded_evaluate)
+    monkeypatch.setattr(FunctionOracle, "_charge", guarded_charge)
+    monkeypatch.setattr(FunctionOracle, "query_many", tracked_query_many)
+    monkeypatch.setattr(ModelMembership, "_evaluate", guarded_decide)
+    solve(np.random.default_rng(3))
+    assert charged_inside == [] and read_below == []

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from f2quad.gf2 import SubspaceF2, dot, dot_many, sign_many
+from f2quad import fourier
 from f2quad.functions import (CallableOracle, DerivativeOracle,
                               ProductOracle, TableOracle, TruthTable,
                               planted_sign_mixture, rand_points,
-                              random_boolean_table, random_quadratic_phase)
+                              random_boolean_table, random_quadratic_phase,
+                              unit_table)
 from f2quad.fourier import (_binned_mean32, _bucket_weight_estimates,
-                            _coefficient_estimates, _gl_tree, _signed_means,
+                            _coefficient_estimates, _signed_means,
                             _word_means, exact_u2, exact_u3, exact_u_norm,
                             fwht, goldreich_levin, goldreich_levin_subspace,
                             spectrum_to_table, wht)
@@ -560,9 +562,40 @@ def test_goldreich_levin_binned_matches_sampled(kind, noise_floor_z):
     counts = dict(t_bucket=1500, t_leaf=1000, repeats=2, live_cap=20,
                   noise_floor_z=noise_floor_z)
     got = goldreich_levin(f, 0.15, 0.1, rng, **counts)
-    want = _gl_tree(sampled(ref), 0.15, 0.1, rng_ref, **counts)
+    want = goldreich_levin(sampled(ref), 0.15, 0.1, rng_ref, **counts)
     assert got == want
     same_counts_and_stream(f, below, ref, ref_below, rng, rng_ref)
+
+
+@pytest.mark.parametrize("noise_floor_z", [0.0, 3.0])
+def test_goldreich_levin_subspace_binned_matches_sampled(monkeypatch,
+                                                         noise_floor_z):
+    # f pulled back to coordinates over W (dimension 6) hands over f's
+    # table: t_bucket 1500 bins levels 1-4 and samples levels 5-6
+    n = 8
+    vals = planted_sign_mixture(n, [(0b10110010, 1.0), (0b01001101, 0.7)],
+                                np.random.default_rng(6)).values
+    f, ref = TableOracle(vals, n), TableOracle(vals, n)
+    W = SubspaceF2([0b10010011, 0b01100101], n)
+    tabled = []
+
+    def spy(g, bins, t):
+        table = unit_table(g, bins, t)
+        tabled.append(table is not None)
+        return table
+
+    monkeypatch.setattr(fourier, "unit_table", spy)
+    counts = dict(t_bucket=1500, t_leaf=1000, repeats=2, live_cap=20,
+                  noise_floor_z=noise_floor_z)
+    rng, rng_ref = np.random.default_rng(7), np.random.default_rng(7)
+    got = goldreich_levin_subspace(f, W, 0.15, 0.1, rng, **counts)
+    binned, tabled[:] = list(tabled), []
+    leaf = sampled(ref)
+    want = goldreich_levin_subspace(leaf, W, 0.15, 0.1, rng_ref, **counts)
+    assert got == want and got
+    assert f.query_count == leaf.query_count
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    assert True in binned and True not in tabled
 
 
 def test_binned_estimates_read_nan_only_where_drawn():

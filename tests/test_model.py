@@ -11,8 +11,7 @@ from f2quad.functions import (CallableOracle, QuadraticAverage, TableOracle,
                               correlation_exact, random_boolean_table,
                               random_quadratic_average,
                               random_quadratic_phase, symmetric_split)
-from f2quad.fourier import (_gl_tree, derivative_table, exact_u3,
-                            goldreich_levin, wht)
+from f2quad.fourier import derivative_table, exact_u3, goldreich_levin, wht
 from f2quad.bruteforce import SetF2, convolution_power, sumset
 from f2quad.bsg import PhiRecord, PhiSampler, bsg_test, choose_bsg_params
 from f2quad.model import (ModelMembership, ModelParams, bogolyubov,
@@ -148,10 +147,10 @@ def test_membership_goldreich_levin_matches_sampled(decided):
     ref, rng_ref = membership_context(decided)
     counts = dict(t_bucket=1 << 12, t_leaf=1 << 12, repeats=1, live_cap=48,
                   noise_floor_z=3.0)
-    got = goldreich_levin(mem.as_oracle(), 0.1, 0.05, rng, **counts)
-    orc = ref.as_oracle()
-    want = _gl_tree(CallableOracle(orc.query_many, orc.n), 0.1, 0.05,
-                    rng_ref, **counts)
+    got = goldreich_levin(mem, 0.1, 0.05, rng, **counts)
+    # a table-less reference on purpose: it keeps GL on the sampled path
+    want = goldreich_levin(CallableOracle(ref.query_many, ref.n), 0.1, 0.05,
+                           rng_ref, **counts)
     assert got == want
     assert np.array_equal(mem._memo, ref._memo)
     assert mem.evaluations == ref.evaluations == 64

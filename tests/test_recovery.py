@@ -14,6 +14,7 @@ from f2quad.functions import (QuadraticPhase, TableOracle, correlation_exact,
                               random_symmetric_zero_diag)
 from f2quad.fourier import derivative_table, exact_u3, wht
 from f2quad.bsg import PhiRecord, PhiSampler, choose_bsg_params
+from f2quad.decompose import decompose_full
 from f2quad.model import find_quadratic_average
 from f2quad import bsg, recovery, u3
 from f2quad.recovery import (find_linear_map, find_quadratic, integrate,
@@ -281,6 +282,24 @@ def test_unknown_knob_is_refused_before_any_query(finder, name):
     with pytest.raises(ValueError, match=name):
         finder(orc, 0.5, 0.05, np.random.default_rng(0), **{name: 0.99})
     assert orc.query_count == 0
+
+
+def decompose_averages(f, epsilon, delta, rng, **knobs):
+    return decompose_full(f, epsilon, 2.0, delta, rng, mode="averages",
+                          **knobs)
+
+
+@pytest.mark.parametrize("entry", [find_quadratic, find_quadratic_average,
+                                   decompose_averages])
+def test_out_of_range_sandwich_knob_is_refused_before_any_query(entry):
+    q = random_quadratic_phase(5, np.random.default_rng(13))
+    for name, value in [("r", 0), ("s", 0), ("s", -1), ("t_edge", 0),
+                        ("t_edge", -5), ("rho", 0.0), ("rho", -0.5),
+                        ("rho", 1.5), ("rho", float("nan"))]:
+        orc = q.as_oracle()
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            entry(orc, 0.5, 0.05, np.random.default_rng(0), **{name: value})
+        assert orc.query_count == 0
 
 
 def test_find_quadratic_takes_linear_map_knobs():
